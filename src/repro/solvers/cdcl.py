@@ -52,7 +52,6 @@ from repro.cnf.formula import CNFFormula
 from repro.runtime.budget import (Budget, BudgetMeter,
                                   DEFAULT_CHECK_INTERVAL,
                                   process_rss_mb)
-from repro.solvers.bcp import CounterPropagator, resolve_propagation
 from repro.solvers.clause_arena import ClauseArena
 from repro.solvers.heuristics import DecisionHeuristic, VSIDSHeuristic
 from repro.solvers.restarts import NoRestarts, RestartPolicy
@@ -108,25 +107,13 @@ class CDCLSolver:
         per-call counter caps, soft memory ceiling.  Enforced through
         the cooperative checkpoint in ``_propagate`` (amortised, see
         DESIGN.md); exhaustion yields ``Status.UNKNOWN``.
-    propagation:
-        BCP backend: ``"auto"`` / ``"watch"`` (the default two-watched
-        scheme below) or ``"numpy"`` -- counter-based batch propagation
-        over the arena's flat buffer (:mod:`repro.solvers.bcp`),
-        degrading to a semantically identical pure-python counter
-        kernel when numpy is absent.  The backend honours the same
-        trail/antecedent/level contracts, so conflict analysis, proof
-        streaming, inprocessing and the arena GC are untouched; the
-        resolved backend is recorded in ``stats.bcp_backend`` and the
-        ``cdcl.bcp`` trace attr.  Watch stays the default because
-        counters pay O(occurrences) on every backtracked literal
-        (DESIGN.md, PR 9).
     inprocess:
         in-search simplification (paper Section 6): an
         :class:`repro.solvers.inprocess.InprocessConfig`, ``True`` for
         the defaults, or ``None``/``False`` (default) for none.  The
         engine runs every ``interval`` conflicts at decision level 0;
         its work is charged to the same budget meter, and its clause
-        rewrites stream through the proof hooks so certification keeps
+        rewrites stream through ``proof`` so certification keeps
         working.  Variables removed by elimination/equivalence must
         not reappear in later assumptions or added clauses
         (incremental users pass ``InprocessConfig(bve=False,
@@ -136,8 +123,7 @@ class CDCLSolver:
         dead attempt on the *same formula* (warm restart).  Applied
         lazily at the start of the first ``solve`` call -- after any
         proof stream has been attached -- so the imported learned
-        clauses flow through the (possibly instrumented) ``_attach``
-        and become the DRUP add-prefix of the resumed proof, in
+        clauses become the DRUP add-prefix of the resumed proof, in
         derivation order.  Imports are admitted only when RUP against
         the formula plus prior imports (checker propagation), which
         keeps resumed certificates checkable and makes the import
@@ -160,7 +146,6 @@ class CDCLSolver:
                  max_decisions: Optional[int] = None,
                  budget: Optional[Budget] = None,
                  inprocess=None,
-                 propagation: str = "auto",
                  resume_from=None):
         if backtrack_mode not in ("nonchronological", "chronological"):
             raise ValueError(f"bad backtrack_mode {backtrack_mode!r}")
@@ -168,11 +153,6 @@ class CDCLSolver:
             raise ValueError(f"bad conflict_cut {conflict_cut!r}")
         if deletion not in ("keep", "size", "relevance"):
             raise ValueError(f"bad deletion policy {deletion!r}")
-        #: Requested and resolved BCP backend (resolution raises on an
-        #: unknown name; "auto" -> "watch", "numpy" -> best counter
-        #: kernel available).
-        self.propagation = propagation
-        self.bcp_backend = resolve_propagation(propagation)
 
         self.formula = formula
         self.heuristic = heuristic or VSIDSHeuristic()
@@ -230,19 +210,14 @@ class CDCLSolver:
         #: one ``is not None`` test per propagate call / per conflict
         #: when absent; the snapshot lands in ``stats.metrics``.
         self.metrics = None
-        #: Proof hook: called by ``_reduce_learned`` with the literal
-        #: lists of the clauses a collection is about to drop, *before*
-        #: the arena compaction invalidates their ids.  The streaming
-        #: proof writer (``repro.verify``) turns these into DRUP
-        #: deletion lines so checker-side propagation stays bounded.
-        self.on_proof_delete: \
-            Optional[Callable[[List[List[int]]], None]] = None
-        #: Proof hook: called with a literal list when the inprocessing
-        #: engine derives a clause that does not flow through
-        #: ``_attach(learned=True)`` -- strengthened *original* clauses,
-        #: BVE resolvents, root units.  ``attach_proof_stream`` points
-        #: it at the sink's ``add``.
-        self.on_proof_add: Optional[Callable[[Sequence[int]], None]] = None
+        #: Optional DRUP proof sink (``repro.verify.drat.ProofSink``;
+        #: set through ``attach_proof_stream``).  The engine calls it
+        #: directly: ``add`` for every learned clause as it is attached
+        #: and every learned unit (plus the clauses inprocessing and
+        #: checkpoint imports derive), ``delete`` for every clause a
+        #: collection drops, ``conclude`` when a solve without
+        #: assumptions ends UNSATISFIABLE.
+        self.proof = None
 
         self._num_vars = formula.num_vars
         n = self._num_vars + 1
@@ -271,21 +246,8 @@ class CDCLSolver:
         self._root_conflict = False
         self._pending_units: List[int] = []
 
-        #: Counter-based BCP backend (repro.solvers.bcp); None in
-        #: watch mode, where ``_propagate`` below runs unchanged.
-        #: Built after the input clauses so the occurrence index is
-        #: one vectorized pass; ``_attach`` keeps it incremental from
-        #: here on.  The bound-method override leaves the class
-        #: attribute ``CDCLSolver._propagate`` (the watch scheme)
-        #: untouched.
-        self._bcp: Optional[CounterPropagator] = None
-
         for clause in formula.clauses:
             self._attach_input_clause(clause)
-
-        if self.bcp_backend != "watch":
-            self._bcp = CounterPropagator(self, self.bcp_backend)
-            self._propagate = self._bcp.propagate  # type: ignore[assignment]
 
     # ------------------------------------------------------------------
     # Clause management
@@ -304,9 +266,15 @@ class CDCLSolver:
         self._attach(self.arena.add(lits, learned=False), learned=False)
 
     def _attach(self, cid: int, learned: bool) -> None:
-        """Register arena clause *cid* with the watch machinery."""
-        (self._learned if learned else self._clauses).append(cid)
+        """Register arena clause *cid* with the watch machinery (a
+        learned clause is proof-logged first)."""
         arena = self.arena
+        if learned:
+            self._learned.append(cid)
+            if self.proof is not None:
+                self.proof.add(arena.lits_of(cid))
+        else:
+            self._clauses.append(cid)
         lits = arena.lits
         base = arena.off[cid]
         if arena.end[cid] - base == 2:
@@ -316,8 +284,6 @@ class CDCLSolver:
         else:
             self._watches[_lit_index(lits[base])].append(cid)
             self._watches[_lit_index(lits[base + 1])].append(cid)
-        if self._bcp is not None:
-            self._bcp.on_attach(cid)
 
     def add_clause(self, literals: Iterable[int]) -> None:
         """Add a clause between solve calls (incremental interface).
@@ -345,8 +311,6 @@ class CDCLSolver:
         self._watches.extend([] for _ in range(2 * extra))
         self._bins.extend([] for _ in range(2 * extra))
         self._num_vars = var
-        if self._bcp is not None:
-            self._bcp.on_grow()
 
     def learned_clauses(self) -> List[Clause]:
         """The currently recorded conflict clauses."""
@@ -554,10 +518,6 @@ class CDCLSolver:
         if on_unassign is not None:
             for index in range(len(trail) - 1, target - 1, -1):
                 on_unassign(trail[index])
-        if self._bcp is not None:
-            # Counter rollback needs the erased entries still on the
-            # trail (it credits back only the processed prefix).
-            self._bcp.on_cancel(target)
         for index in range(target, len(trail)):
             lit = trail[index]
             var = lit if lit > 0 else -lit
@@ -772,12 +732,8 @@ class CDCLSolver:
         """A clause currently acting as an antecedent must stay.
 
         Checked against the antecedent slots of the clause's own
-        variables, which holds under every propagation backend (the
-        watch scheme additionally keeps the implied literal at watch
-        position 0, but the counter backend never reorders buffer
-        slices, so position conveys nothing there).  ``_reduce_learned``
-        uses the one-pass :meth:`_locked_ids` instead of calling this
-        per clause.
+        variables.  ``_reduce_learned`` uses the one-pass
+        :meth:`_locked_ids` instead of calling this per clause.
         """
         antecedent = self._antecedent
         return any(antecedent[lit if lit > 0 else -lit] == cid
@@ -785,7 +741,7 @@ class CDCLSolver:
 
     def _locked_ids(self) -> Set[int]:
         """Every clause id currently serving as an antecedent (one
-        O(num_vars) sweep, backend-independent)."""
+        O(num_vars) sweep)."""
         return {reason for reason in self._antecedent
                 if type(reason) is int}
 
@@ -812,11 +768,12 @@ class CDCLSolver:
         aoff = arena.off
         aend = arena.end
         alits = arena.lits
-        if self.on_proof_delete is not None:
-            # Snapshot literals now: compact() recycles the buffer and
+        proof = self.proof
+        if proof is not None:
+            # Log the literals now: compact() recycles the buffer and
             # renumbers ids, after which these cids mean nothing.
-            self.on_proof_delete(
-                [list(alits[aoff[cid]:aend[cid]]) for cid in doomed])
+            for cid in doomed:
+                proof.delete(alits[aoff[cid]:aend[cid]])
         self.stats.deleted_clauses += len(doomed)
         reclaimed = sum(aend[cid] - aoff[cid] for cid in doomed)
         remap = arena.compact(doomed)
@@ -852,8 +809,6 @@ class CDCLSolver:
                 watches[_lit_index(alits[base + 1])].append(cid)
         self._watches = watches
         self._bins = bins
-        if self._bcp is not None:
-            self._bcp.on_gc()
         if arena.peak_lits > self.stats.arena_peak_lits:
             self.stats.arena_peak_lits = arena.peak_lits
         return reclaimed
@@ -944,7 +899,6 @@ class CDCLSolver:
                          num_clauses=len(self._clauses),
                          num_assumptions=len(assumptions)) as end:
             result = self._solve(assumptions)
-            end["bcp"] = self.bcp_backend
             end["status"] = result.status.value
             end["decisions"] = result.stats.decisions
             end["conflicts"] = result.stats.conflicts
@@ -1009,7 +963,6 @@ class CDCLSolver:
 
     def _solve(self, assumptions: Sequence[int]) -> SolverResult:
         started = time.perf_counter()
-        self.stats.bcp_backend = self.bcp_backend
         if self.inprocess_config is not None and self._inprocessor is None:
             from repro.solvers.inprocess import Inprocessor
             self._inprocessor = Inprocessor(self, self.inprocess_config)
@@ -1022,6 +975,11 @@ class CDCLSolver:
         self._arm_meter()
         try:
             status = self._search(list(assumptions))
+            if (status is Status.UNSATISFIABLE and not assumptions
+                    and self.proof is not None):
+                # Only a refutation of the formula itself is a proof;
+                # an assumption-relative UNSAT concludes nothing.
+                self.proof.conclude()
         finally:
             self.stats.time_seconds += time.perf_counter() - started
             if self.arena.peak_lits > self.stats.arena_peak_lits:
@@ -1073,11 +1031,11 @@ class CDCLSolver:
     def _import_checkpoint(self, checkpoint) -> None:
         """Warm-restart: re-attach a dead attempt's search state.
 
-        Runs at the start of the first solve call, *after* proof
-        instrumentation, so every admitted clause streams its DRUP add
-        line through ``_attach`` / ``on_proof_add`` -- the resumed
-        proof is the imported prefix plus new derivations and the
-        forward checker accepts it unchanged.  The RUP admission gate
+        Runs at the start of the first solve call, *after* a proof
+        sink has been attached, so every admitted clause streams its
+        DRUP add line -- the resumed proof is the imported prefix plus
+        new derivations and the forward checker accepts it unchanged.
+        The RUP admission gate
         (:func:`repro.runtime.checkpoint.filter_rup_imports`) drops
         anything unverifiable; a checkpoint for a different formula
         size is ignored wholesale.
@@ -1090,7 +1048,7 @@ class CDCLSolver:
         stats = self.stats
         stats.warm_resumes += 1
         stats.checkpoint_dropped_clauses += dropped
-        on_proof_add = self.on_proof_add
+        proof = self.proof
         pending = set(self._pending_units)
         new_units = 0
         for lit in units:
@@ -1099,8 +1057,8 @@ class CDCLSolver:
             pending.add(lit)
             self._pending_units.append(lit)
             new_units += 1
-            if on_proof_add is not None:
-                on_proof_add([lit])
+            if proof is not None:
+                proof.add((lit,))
         arena = self.arena
         for lits, lbd, activity in clauses:
             cid = arena.add(list(lits), learned=True, lbd=lbd)
@@ -1283,6 +1241,8 @@ class CDCLSolver:
             self._cancel_until(0)
             self.stats.learned_clauses += 1
             self._pending_units.append(asserting)
+            if self.proof is not None:
+                self.proof.add((asserting,))
             self._enqueue(asserting, None)
         else:
             # Learning disabled: the derived clause is still a valid

@@ -23,14 +23,14 @@ directly on the arena's flat literal buffer and registries:
   clause growth), with model reconstruction restoring eliminated
   variables in SAT answers.
 
-Every transformation is DRUP-logged through the solver's proof hooks
+Every transformation is DRUP-logged through the solver's proof sink
 in **add-before-delete** order: a strengthened clause or resolvent is
 emitted as an add (it is a RUP consequence of the database *at that
 moment* -- one resolution step, or a reproduced propagation conflict)
 before the clause it replaces is emitted as a deletion, so the
 independent checker in :mod:`repro.verify.checker` accepts the whole
-stream.  Deletions ride the same ``on_proof_delete`` hook as the GC;
-adds use ``on_proof_add`` (original clauses) or the instrumented
+stream.  Deletions ride the same compaction path as the GC; adds go
+to ``solver.proof`` directly (original clauses, units) or through
 ``_attach`` (learned clauses).
 
 Work is charged to the solver's :class:`~repro.runtime.budget.
@@ -282,9 +282,9 @@ class Inprocessor:
         self._reclaimed += self.solver.arena.size(cid)
 
     def _emit_add(self, literals: Sequence[int]) -> None:
-        hook = self.solver.on_proof_add
-        if hook is not None:
-            hook(list(literals))
+        proof = self.solver.proof
+        if proof is not None:
+            proof.add(literals)
 
     def _add_unit(self, lit: int) -> None:
         """Install a derived root unit: proof add, pending-unit entry,
@@ -318,8 +318,7 @@ class Inprocessor:
             self._add_unit(new_lits[0])
             return
         if learned:
-            # The instrumented ``_attach`` (repro.verify.drat) emits
-            # the proof add for learned clauses.
+            # ``_attach`` emits the proof add for learned clauses.
             cid = arena.add(list(new_lits), learned=True,
                             lbd=min(len(new_lits),
                                     arena.lbd[old_cid] or len(new_lits)))
@@ -362,11 +361,6 @@ class Inprocessor:
         base = arena.off[cid]
         s._watches[_lit_index(arena.lits[base])].remove(cid)
         s._watches[_lit_index(arena.lits[base + 1])].remove(cid)
-        if s._bcp is not None:
-            # Counter backend: keep the counters ticking but skip the
-            # clause at examination time (the occurrence-index analog
-            # of leaving the watch lists).
-            s._bcp.on_detach(cid)
 
     def _reattach(self, cid: int) -> None:
         s = self.solver
@@ -374,8 +368,6 @@ class Inprocessor:
         base = arena.off[cid]
         s._watches[_lit_index(arena.lits[base])].append(cid)
         s._watches[_lit_index(arena.lits[base + 1])].append(cid)
-        if s._bcp is not None:
-            s._bcp.on_reattach(cid)
 
     def _spend(self, cost: int) -> None:
         meter = self.solver._meter

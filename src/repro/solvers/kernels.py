@@ -70,16 +70,11 @@ def resolve_kernel(kernel: str = "auto") -> str:
 
 def capability() -> dict:
     """JSON-ready capability probe (perf harness / ``repro profile`` /
-    service ``STATUS``): simplification kernel selection plus the
-    propagation backends this interpreter can run (PR 9)."""
-    from repro.solvers.bcp import propagation_available, \
-        resolve_propagation
+    service ``STATUS``): simplification kernel selection."""
     return {
         "numpy": kernels_available(),
         "numpy_version": numpy_version(),
         "default_kernel": resolve_kernel("auto"),
-        "propagation_backends": list(propagation_available()),
-        "default_propagation": resolve_propagation("auto"),
     }
 
 

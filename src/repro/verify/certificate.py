@@ -145,9 +145,6 @@ def certified_solve(formula, proof_path: Optional[str] = None,
     from repro.solvers.cdcl import CDCLSolver
     from repro.solvers.result import SolverResult, SolverStats, Status
 
-    if cdcl_kwargs.get("learning") is False:
-        raise ValueError("certified_solve requires clause learning: "
-                         "without recorded clauses there is no proof")
     ephemeral = proof_path is None
     if ephemeral:
         handle, proof_path = tempfile.mkstemp(suffix=".drup",
@@ -176,14 +173,20 @@ def certified_solve(formula, proof_path: Optional[str] = None,
             return result
         target = pre.formula
         forced = pre.forced
-    solver = CDCLSolver(target, **cdcl_kwargs)
-    if tracer is not None:
-        solver.tracer = tracer
-    attach_proof_stream(solver, sink)
     try:
+        solver = CDCLSolver(target, **cdcl_kwargs)
+        if tracer is not None:
+            solver.tracer = tracer
+        attach_proof_stream(solver, sink)
         result = solver.solve()
-    finally:
+    except BaseException:
+        # Bad arguments (e.g. learning disabled) or an interrupted
+        # solve: no certificate, so no temporary proof file either.
         sink.close()
+        if ephemeral:
+            _remove(proof_path)
+        raise
+    sink.close()
 
     if result.status is Status.SATISFIABLE and forced:
         # Lift the model of the reduced formula back to the original:

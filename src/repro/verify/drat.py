@@ -6,17 +6,15 @@ logging the clauses in derivation order -- plus the clauses the GC
 deletes, so a checker's propagation stays bounded -- yields a standard
 DRUP file any independent tool can validate.
 
-The in-memory ``repro.solvers.proof.Proof`` transcript is
-O(all-learned-clauses) in RAM, which rules it out for long runs; the
-sinks here are O(1) solver-side: each step is formatted and handed to
-the sink immediately, and :class:`FileProofSink` appends it to a file
-through a bounded buffer.
+The file sink is O(1) solver-side: each step is formatted and handed
+to the sink immediately, and :class:`FileProofSink` appends it to a
+file through a bounded buffer.  :class:`MemoryProofSink` keeps the
+steps in RAM for tests and the fuzzer.
 
-Attachment uses the same monkey-patch hook philosophy as
-``attach_proof_logger`` (the engine is never modified), plus the
-engine's ``on_proof_delete`` hook for GC deletion lines.  Literals are
-snapshotted at attach time (``arena.lits_of``), so later compactions
--- which renumber ids and recycle buffer space -- can never corrupt an
+The engine owns one ``proof`` attribute and calls the sink directly;
+:func:`attach_proof_stream` only sets it.  Literals are copied out of
+the clause arena when a step is emitted, so later compactions --
+which renumber ids and recycle buffer space -- can never corrupt an
 already-emitted step.
 
 DRUP line format (checker-facing contract):
@@ -170,49 +168,21 @@ class MemoryProofSink(ProofSink):
 def attach_proof_stream(solver, sink: ProofSink) -> ProofSink:
     """Stream *solver*'s derivation into *sink* (returns the sink).
 
-    Instruments a :class:`~repro.solvers.cdcl.CDCLSolver` without
-    modifying it: learned clauses via ``_attach`` (literals snapshotted
-    from the arena at attach time), unit implicates via the
-    pending-unit diff around ``_handle_conflict``, GC deletions via the
-    engine's ``on_proof_delete`` hook, and the concluding empty clause
-    when ``_search`` returns UNSATISFIABLE with no assumptions (an
-    assumption-relative UNSAT is not a proof of the formula).  The
-    engine's ``on_proof_add`` hook is pointed at ``sink.add`` so the
-    inprocessing engine can log strengthened *original* clauses and
-    derived units (its learned-clause rewrites already flow through
-    the instrumented ``_attach``).
+    Sets the :class:`~repro.solvers.cdcl.CDCLSolver`'s ``proof``
+    attribute; the engine then emits learned clauses and units,
+    inprocessing rewrites and checkpoint imports as adds, GC and
+    inprocessing removals as deletions, and the concluding empty
+    clause when a solve without assumptions ends UNSATISFIABLE (an
+    assumption-relative UNSAT is not a proof of the formula).
+
+    Raises ``ValueError`` for a solver with clause learning disabled:
+    its derived clauses are never recorded, so the stream would not be
+    a valid proof.
     """
-    original_attach = solver._attach
-    original_handle = solver._handle_conflict
-    original_search = solver._search
-
-    def streaming_attach(cid, learned):
-        if learned:
-            sink.add(solver.arena.lits_of(cid))
-        original_attach(cid, learned)
-
-    def streaming_handle(conflict):
-        before = len(solver._pending_units)
-        original_handle(conflict)
-        for lit in solver._pending_units[before:]:
-            sink.add((lit,))
-
-    def streaming_search(assumptions):
-        from repro.solvers.result import Status
-        status = original_search(assumptions)
-        if status is Status.UNSATISFIABLE and not assumptions:
-            sink.conclude()
-        return status
-
-    def streaming_delete(clauses):
-        for lits in clauses:
-            sink.delete(lits)
-
-    solver._attach = streaming_attach
-    solver._handle_conflict = streaming_handle
-    solver._search = streaming_search
-    solver.on_proof_delete = streaming_delete
-    solver.on_proof_add = sink.add
+    if not solver.learning:
+        raise ValueError("proof streaming requires clause learning: "
+                         "without recorded clauses there is no proof")
+    solver.proof = sink
     return sink
 
 
@@ -223,18 +193,19 @@ def solve_with_proof_stream(formula, sink: Optional[ProofSink] = None,
 
     Exactly one of *sink* / *proof_path* selects the destination
     (default: an in-memory sink).  The sink is closed before return,
-    so a file proof is immediately checkable.
+    so a file proof is immediately checkable.  The solver is built
+    (and its arguments validated) before a proof file is opened.
     """
     from repro.solvers.cdcl import CDCLSolver
 
     if sink is not None and proof_path is not None:
         raise ValueError("pass either sink or proof_path, not both")
+    solver = CDCLSolver(formula, **cdcl_kwargs)
     if sink is None:
         sink = (FileProofSink(proof_path) if proof_path is not None
                 else MemoryProofSink())
-    solver = CDCLSolver(formula, **cdcl_kwargs)
-    attach_proof_stream(solver, sink)
     try:
+        attach_proof_stream(solver, sink)
         result = solver.solve()
     finally:
         sink.close()

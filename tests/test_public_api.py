@@ -49,7 +49,6 @@ PUBLIC_MODULES = [
     "repro.solvers.incremental",
     "repro.solvers.portfolio",
     "repro.solvers.forward_implication",
-    "repro.solvers.proof",
     "repro.runtime",
     "repro.runtime.budget",
     "repro.runtime.supervisor",

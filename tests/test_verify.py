@@ -6,13 +6,18 @@ import os
 import pytest
 
 from repro.cnf.formula import CNFFormula
-from repro.cnf.generators import pigeonhole, random_ksat_at_ratio
+from repro.cnf.generators import (
+    parity_chain,
+    pigeonhole,
+    random_ksat_at_ratio,
+)
 from repro.solvers.cdcl import CDCLSolver
 from repro.solvers.result import Status
 from repro.verify import (
     Certificate,
     FileProofSink,
     MemoryProofSink,
+    attach_proof_stream,
     certified_solve,
     check_proof_file,
     check_proof_lines,
@@ -96,7 +101,6 @@ class TestProofStreaming:
         solver = CDCLSolver(formula, deletion="size",
                             deletion_bound=3, deletion_interval=20)
         sink = MemoryProofSink()
-        from repro.verify import attach_proof_stream
         attach_proof_stream(solver, sink)
         result = solver.solve()
         assert result.status is Status.UNSATISFIABLE
@@ -106,6 +110,65 @@ class TestProofStreaming:
         outcome = check_proof_steps(formula, sink.events)
         assert outcome.valid, outcome.error
         assert outcome.deletes == sink.deletes
+
+    @pytest.mark.parametrize("build,kw", [
+        (lambda: pigeonhole(4), dict(minimize_learned=False)),
+        (lambda: pigeonhole(3), dict(conflict_cut="decision")),
+        (lambda: pigeonhole(5), dict(deletion="size", deletion_bound=5,
+                                     deletion_interval=20)),
+        (lambda: parity_chain(10), {}),
+        (lambda: CNFFormula(num_vars=1, clauses=[[1], [-1]]), {}),
+    ] + [(lambda seed=seed: random_ksat_at_ratio(8, ratio=5.5,
+                                                 seed=seed), {})
+         for seed in range(2, 6)],
+        ids=["php-4-raw-1uip", "php-3-decision-cut", "php-5-deletion",
+             "parity-10", "trivially-unsat"]
+            + [f"rksat-8-s{seed}" for seed in range(2, 6)])
+    def test_unsat_proof_valid_per_config(self, build, kw):
+        formula = build()
+        result, sink = solve_with_proof_stream(formula, **kw)
+        assert result.status is Status.UNSATISFIABLE
+        outcome = check_proof_steps(formula, sink.events)
+        assert outcome.valid, outcome.error
+        assert outcome.concluded
+
+    def test_bad_solver_arguments_leave_no_proof_file(self, tmp_path):
+        """The solver validates its arguments before the proof file
+        is opened: no handle leaks, no empty file is left behind."""
+        path = tmp_path / "never.drup"
+        with pytest.raises(ValueError, match="backtrack_mode"):
+            solve_with_proof_stream(pigeonhole(4), proof_path=str(path),
+                                    backtrack_mode="bogus")
+        assert not path.exists()
+
+
+#: Hand-written proofs over a two-variable database: (clauses, events,
+#: require_empty, valid, failing line or None).
+HAND_WRITTEN_PROOFS = {
+    "unit-step-implied": ([[1, 2], [1, -2]], [("a", (1,))],
+                          False, True, None),
+    "tautology-step": ([[1]], [("a", (1, -1))], False, True, None),
+    "step-not-implied": ([[1, 2]], [("a", (1,))], False, False, 1),
+    "second-step-not-implied": ([[1, 2], [1, -2]],
+                                [("a", (1,)), ("a", (2,))],
+                                False, False, 2),
+    "empty-clause-not-implied": ([[1, 2]], [("a", ())],
+                                 True, False, 1),
+    "no-empty-clause": ([[1, 2], [1, -2]], [("a", (1,))],
+                        True, False, 1),
+}
+
+
+class TestCheckerVerdicts:
+    @pytest.mark.parametrize("name", sorted(HAND_WRITTEN_PROOFS))
+    def test_hand_written_proof(self, name):
+        clauses, events, require_empty, valid, line = \
+            HAND_WRITTEN_PROOFS[name]
+        formula = CNFFormula(num_vars=2, clauses=clauses)
+        outcome = check_proof_steps(formula, events,
+                                    require_empty=require_empty)
+        assert outcome.valid is valid, outcome.error
+        assert outcome.line == line
 
 
 class TestCheckerRejections:
@@ -213,8 +276,16 @@ class TestCertifiedSolve:
         assert "budget" in result.certificate.reason
 
     def test_learning_disabled_is_refused(self):
+        """Without recorded clauses the stream is no proof, so every
+        proof path refuses a learning-disabled solver up front."""
         with pytest.raises(ValueError, match="clause learning"):
             certified_solve(pigeonhole(4), learning=False)
+        with pytest.raises(ValueError, match="clause learning"):
+            solve_with_proof_stream(pigeonhole(4), learning=False)
+        solver = CDCLSolver(pigeonhole(4), learning=False)
+        with pytest.raises(ValueError, match="clause learning"):
+            attach_proof_stream(solver, MemoryProofSink())
+        assert solver.proof is None
 
     def test_invalid_proof_demotes_to_unknown(self, tmp_path):
         """A tampered stream must never surface as UNSAT: the answer

@@ -1,123 +1,41 @@
-"""Unit tests for repro.solvers.proof (RUP proof logging/checking)."""
+"""Proof logging end to end: solve with an in-memory DRUP stream
+(repro.verify.solve_with_proof_stream) and check the transcript with
+the independent checker (repro.verify.check_proof_steps)."""
 
-import pytest
-
-from conftest import brute_force_status
-
-from repro.cnf.clause import Clause
-from repro.cnf.formula import CNFFormula
-from repro.cnf.generators import (
-    parity_chain,
-    pigeonhole,
-    random_ksat_at_ratio,
-)
-from repro.solvers.proof import (
-    Proof,
-    check_rup_proof,
-    solve_with_proof,
-)
+from repro.cnf.generators import pigeonhole, random_ksat_at_ratio
+from repro.solvers.result import Status
+from repro.verify import check_proof_steps, solve_with_proof_stream
 
 
 class TestProofLogging:
     def test_unsat_proof_complete_and_valid(self):
         formula = pigeonhole(4)
-        result, proof = solve_with_proof(formula)
-        assert result.is_unsat
-        assert proof.complete
-        assert len(proof) > 0
-        check = check_rup_proof(formula, proof)
-        assert check.valid, f"failed at step {check.failed_step}"
+        result, sink = solve_with_proof_stream(formula)
+        assert result.status is Status.UNSATISFIABLE
+        assert sink.concluded
+        assert sink.adds > 0
+        assert sink.events[-1] == ("a", ())
+        check = check_proof_steps(formula, sink.events)
+        assert check.valid, check.error
+        assert check.concluded
+        assert check.steps_checked == len(sink.events)
 
     def test_sat_proof_incomplete_but_steps_valid(self):
         formula = random_ksat_at_ratio(20, ratio=3.5, seed=0)
-        result, proof = solve_with_proof(formula)
-        assert result.is_sat
-        assert not proof.complete
-        assert check_rup_proof(formula, proof).valid
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_random_unsat_instances(self, seed):
-        formula = random_ksat_at_ratio(8, ratio=5.5, seed=seed)
-        if brute_force_status(formula) != "UNSAT":
-            pytest.skip("instance happens to be satisfiable")
-        result, proof = solve_with_proof(formula)
-        assert result.is_unsat
-        assert check_rup_proof(formula, proof).valid
-
-    def test_parity_chain_proof(self):
-        formula = parity_chain(10)
-        result, proof = solve_with_proof(formula)
-        assert result.is_unsat
-        assert check_rup_proof(formula, proof).valid
+        result, sink = solve_with_proof_stream(formula)
+        assert result.status is Status.SATISFIABLE
+        assert not sink.concluded
+        assert ("a", ()) not in sink.events
+        check = check_proof_steps(formula, sink.events,
+                                  require_empty=False)
+        assert check.valid, check.error
+        assert not check.concluded
 
     def test_proof_with_minimization(self):
         formula = pigeonhole(4)
-        result, proof = solve_with_proof(formula,
-                                         minimize_learned=True)
-        assert result.is_unsat
-        assert check_rup_proof(formula, proof).valid
-
-    def test_proof_with_decision_cut(self):
-        formula = pigeonhole(3)
-        result, proof = solve_with_proof(formula,
-                                         conflict_cut="decision")
-        assert result.is_unsat
-        assert check_rup_proof(formula, proof).valid
-
-    def test_proof_with_deletion(self):
-        """Deleted clauses stay in the proof transcript; checking
-        accumulates them, so validity is unaffected."""
-        formula = pigeonhole(5)
-        result, proof = solve_with_proof(formula, deletion="size",
-                                         deletion_bound=5,
-                                         deletion_interval=20)
-        assert result.is_unsat
-        assert check_rup_proof(formula, proof).valid
-
-    def test_trivially_unsat_formula(self):
-        formula = CNFFormula(1)
-        formula.add_clause([1])
-        formula.add_clause([-1])
-        result, proof = solve_with_proof(formula)
-        assert result.is_unsat
-        assert proof.complete
-        assert check_rup_proof(formula, proof).valid
-
-
-class TestChecker:
-    def test_rejects_non_consequence(self):
-        formula = CNFFormula(2)
-        formula.add_clause([1, 2])
-        bogus = Proof(steps=[Clause([1])])        # (1) not implied
-        check = check_rup_proof(formula, bogus)
-        assert not check.valid
-        assert check.failed_step == 0
-
-    def test_rejects_fake_completion(self):
-        formula = CNFFormula(2)
-        formula.add_clause([1, 2])
-        fake = Proof(steps=[], complete=True)
-        check = check_rup_proof(formula, fake)
-        assert not check.valid
-
-    def test_accepts_unit_step(self):
-        # (a + b)(a + b') |= (a) by RUP.
-        formula = CNFFormula(2)
-        formula.add_clause([1, 2])
-        formula.add_clause([1, -2])
-        proof = Proof(steps=[Clause([1])])
-        assert check_rup_proof(formula, proof).valid
-
-    def test_steps_checked_counter(self):
-        formula = CNFFormula(2)
-        formula.add_clause([1, 2])
-        formula.add_clause([1, -2])
-        proof = Proof(steps=[Clause([1]), Clause([2])])
-        check = check_rup_proof(formula, proof)
-        assert not check.valid and check.failed_step == 1
-
-    def test_tautological_step_accepted(self):
-        formula = CNFFormula(1)
-        formula.add_clause([1])
-        proof = Proof(steps=[Clause([1, -1])])
-        assert check_rup_proof(formula, proof).valid
+        result, sink = solve_with_proof_stream(formula,
+                                               minimize_learned=True)
+        assert result.status is Status.UNSATISFIABLE
+        check = check_proof_steps(formula, sink.events)
+        assert check.valid, check.error
+        assert check.concluded

@@ -39,6 +39,13 @@ from repro.cnf.formula import CNFFormula
 _KEY_VERSION = b"repro-cnf-v1"
 
 
+def used_variables(clauses: Sequence[Sequence[int]]) -> List[int]:
+    """The variables that occur in *clauses*, ascending.  Two formulas
+    with equal :func:`canonical_key` pair their used variables up
+    position by position."""
+    return sorted({abs(lit) for clause in clauses for lit in clause})
+
+
 def renumber(formula: CNFFormula) -> Tuple[CNFFormula, Dict[int, int]]:
     """Compact *formula*'s variable space to ``1..k``.
 
@@ -48,8 +55,7 @@ def renumber(formula: CNFFormula) -> Tuple[CNFFormula, Dict[int, int]]:
     A formula that is already dense maps through identity (but a new
     formula object is still returned).
     """
-    used = sorted({abs(lit) for clause in formula.clauses
-                   for lit in clause})
+    used = used_variables(formula.clauses)
     mapping = {var: new for new, var in enumerate(used, start=1)}
     renamed = CNFFormula(
         num_vars=len(used),

@@ -13,6 +13,8 @@ need:
   :class:`Supervisor`: heartbeat liveness, crash respawn with
   exponential backoff, hung-worker termination, payload auditing, and
   the per-worker :class:`PortfolioReport`;
+* :mod:`repro.runtime.worker` -- the worker core the supervisor and
+  the solve service share: one entry point, audit and attempt handle;
 * :mod:`repro.runtime.faults` -- deterministic fault injection
   (:class:`FaultPlan`) so the recovery paths are testable in CI.
 """

@@ -21,13 +21,12 @@ misbehave in a prescribed, reproducible way:
 Faults are keyed by ``(worker index, attempt)`` so a plan can say
 "worker 2 crashes on its first two attempts, then behaves", which is
 exactly the shape supervisor tests need: forced failures followed by a
-verifiable recovery.
+verifiable recovery.  The worker entry point
+(:func:`repro.runtime.worker.worker_main`) carries the actions out.
 """
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional
 
@@ -91,16 +90,18 @@ class FaultPlan:
         UNSATISFIABLE without solving (and without writing a proof).
     kills:
         worker index -> leading attempts that die *mid-job*, after
-        ``kill_after_checkpoints`` cooperative checkpoints -- so the
-        supervisor has already received progress (and piggybacked
-        checkpoints) when the worker dies, which is what warm-restart
+        ``kill_after_checkpoints`` cooperative checkpoints' worth of
+        propagations and one last progress report -- so the
+        supervisor has already received progress (and a piggybacked
+        checkpoint) when the worker dies, which is what warm-restart
         respawn tests need.
     corrupt_checkpoints:
         worker index -> leading attempts whose piggybacked checkpoint
         blobs are corrupted before sending (the respawn must demote to
         a cold restart, never crash).
     kill_after_checkpoints:
-        checkpoints a ``kills`` attempt survives before dying.
+        checkpoint intervals of propagations a ``kills`` attempt
+        survives before dying.
     """
 
     crashes: Dict[int, int] = field(default_factory=dict)
@@ -113,13 +114,10 @@ class FaultPlan:
 
     def __post_init__(self):
         # Normalize so equal plans compare/pickle identically.
-        object.__setattr__(self, "crashes", dict(self.crashes))
         object.__setattr__(self, "hangs", frozenset(self.hangs))
-        object.__setattr__(self, "garbage", dict(self.garbage))
-        object.__setattr__(self, "false_unsat", dict(self.false_unsat))
-        object.__setattr__(self, "kills", dict(self.kills))
-        object.__setattr__(self, "corrupt_checkpoints",
-                           dict(self.corrupt_checkpoints))
+        for name in ("crashes", "garbage", "false_unsat", "kills",
+                     "corrupt_checkpoints"):
+            object.__setattr__(self, name, dict(getattr(self, name)))
 
     def action(self, index: int, attempt: int) -> Optional[str]:
         """The scripted fault for this (worker, attempt), or None."""
@@ -170,8 +168,9 @@ class ServiceFaultPlan:
         job id -> leading attempts that die at solve start.
     kills:
         job id -> leading attempts that die mid-job, after
-        ``kill_after_checkpoints`` cooperative checkpoints (so the
-        server has seen heartbeats and progress snapshots first).
+        ``kill_after_checkpoints`` cooperative checkpoints' worth of
+        propagations (so the server has seen heartbeats and a final
+        progress snapshot first).
     hangs:
         job id -> leading attempts that spin without heartbeating.
     poisons:
@@ -180,7 +179,8 @@ class ServiceFaultPlan:
         job id -> seconds the *server* stalls before replying
         (applies to every attempt; models a slow result path).
     kill_after_checkpoints:
-        checkpoints a ``kills`` attempt survives before dying.
+        checkpoint intervals of propagations a ``kills`` attempt
+        survives before dying.
     corrupt_checkpoints:
         job id -> leading attempts whose piggybacked checkpoint blobs
         are corrupted before sending; the retry must fall back to a
@@ -249,29 +249,3 @@ class ServiceFaultPlan:
             raise ValueError(f"unknown ServiceFaultPlan keys "
                              f"{sorted(extra)}")
         return cls(**payload)
-
-
-def execute_fault(action: str, index: int, channel) -> None:
-    """Carry out *action* inside a worker process.
-
-    ``crash`` and ``hang`` never return.  ``garbage`` sends a corrupt
-    payload over *channel* (the worker's result pipe) and returns (the
-    worker then exits normally, as a confused-but-alive engine would).
-    """
-    if action == CRASH:
-        # _exit, not sys.exit: no finally blocks, no pipe flushing --
-        # indistinguishable from a hard native crash.
-        os._exit(17)
-    elif action == HANG:
-        while True:           # pragma: no cover - killed externally
-            time.sleep(0.05)
-    elif action == GARBAGE:
-        # Wrong arity AND a bogus status: must fail payload
-        # validation, never parse as a real verdict.
-        channel.send(("garbage", index, "NOT_A_STATUS"))
-    elif action == FALSE_UNSAT:
-        # A perfectly well-formed lie: passes payload validation, so
-        # only a proof audit (supervisor proof_dir) can reject it.
-        channel.send((index, 0, "UNSATISFIABLE", None, {}))
-    else:
-        raise ValueError(f"unknown fault action {action!r}")

@@ -29,13 +29,14 @@ believed.  This module wraps the race in a :class:`Supervisor` that
 * returns a structured :class:`PortfolioReport` naming every worker's
   fate instead of only the winner.
 
-Fault injection (:mod:`repro.runtime.faults`) makes all of these
-paths deterministically reachable from tests.
+Workers are spawned, audited and reaped through the worker core the
+solve service shares (:mod:`repro.runtime.worker`); this module keeps
+only the race policy.  Fault injection (:mod:`repro.runtime.faults`)
+makes all of these paths deterministically reachable from tests.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -46,21 +47,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.cnf.assignment import Assignment
 from repro.cnf.formula import CNFFormula
 from repro.runtime.budget import Budget
-from repro.runtime.checkpoint import try_load_checkpoint
-from repro.runtime.faults import (KILL_MIDJOB, FaultPlan, corrupt_blob,
-                                  execute_fault)
+from repro.runtime.faults import FaultPlan
+from repro.runtime.worker import (Event, WorkerHandle, WorkerSpec,
+                                  scripted_faults)
 from repro.solvers.result import SolverResult, SolverStats, Status
-
-#: Grace period between observing a worker's death and declaring it
-#: crashed: its final payload may still be buffered in its pipe and
-#: not yet drained by the supervisor loop.
-#:
-#: Results travel over one dedicated pipe per worker, NOT a shared
-#: multiprocessing.Queue: terminating a worker while it holds a shared
-#: queue's write lock would poison the queue and deadlock every other
-#: worker's put().  With per-worker pipes a kill can only ever corrupt
-#: the victim's own channel.
-_DEATH_GRACE = 0.25
 
 
 class WorkerOutcome(Enum):
@@ -172,150 +162,19 @@ class PortfolioReport:
         return summary
 
 
-def stats_to_dict(stats: SolverStats) -> Dict[str, float]:
-    """Primitive (picklable) projection of every stats field.
-
-    Delegates to :meth:`SolverStats.as_dict`, which iterates
-    ``dataclasses.fields`` -- newly added counters can never be
-    silently dropped at the worker-pipe boundary again.
-    """
-    return stats.as_dict()
-
-
-def stats_from_dict(payload: Dict[str, float]) -> SolverStats:
-    """Rebuild audited stats from a worker payload.
-
-    Delegates to :meth:`SolverStats.from_dict`: unknown keys and
-    wrong-typed values are dropped, never ``setattr``-ed.
-    """
-    return SolverStats.from_dict(payload)
-
-
-def _worker_main(index: int, attempt: int,
-                 clause_lits: List[Tuple[int, ...]], num_vars: int,
-                 config, budget: Optional[Budget],
-                 heartbeats, channel,
-                 fault_plan: Optional[FaultPlan],
-                 progress_interval: Optional[float] = None,
-                 proof_path: Optional[str] = None,
-                 resume_blob: Optional[bytes] = None) -> None:
-    """Entry point of one supervised process (module-level: picklable).
-
-    The formula travels as literal tuples; the verdict travels back as
-    primitives over *channel*, this worker's private pipe end.
-    Heartbeats are written through the solver's cooperative
-    checkpoint, so a worker that stops propagating also stops
-    heartbeating -- which is exactly what hang detection needs.  With a
-    *progress_interval*, the same checkpoint also sends periodic
-    ``("progress", index, attempt, elapsed, stats_dict)`` snapshots
-    over the pipe -- the supervisor's live per-worker effort timeline --
-    each followed by a ``("checkpoint", index, attempt, blob)``
-    search-state snapshot (:mod:`repro.runtime.checkpoint`) the
-    supervisor holds for warm respawns.
-
-    *resume_blob* is the last such blob of this slot's previous
-    attempt: loaded through the checksummed loader, a valid one seeds
-    the solver (warm restart); a corrupt or truncated one demotes to a
-    cold restart -- a bad checkpoint must never fail the retry.
-
-    With a *proof_path* the worker streams a DRUP proof there while
-    solving; the supervisor checks it before believing an UNSAT claim.
-    A non-UNSAT outcome removes the (partial, useless) file.
-    """
-    kill_after: Optional[int] = None
-    corrupting = False
-    if fault_plan is not None:
-        action = fault_plan.action(index, attempt)
-        if action == KILL_MIDJOB:
-            # Die mid-job, after the supervisor has seen progress and
-            # piggybacked checkpoints (warm-respawn chaos scenario).
-            kill_after = fault_plan.kill_after_checkpoints
-        elif action is not None:
-            execute_fault(action, index, channel)
-            return                # garbage fault: reported, exit
-        corrupting = fault_plan.corrupts_checkpoint(index, attempt)
-
-    def beat() -> None:
-        heartbeats[index] = time.monotonic()
-
-    beat()
-    started = time.monotonic()
-    formula = CNFFormula(num_vars=num_vars, clauses=clause_lits)
-    resume_from = try_load_checkpoint(resume_blob)
-    build_kwargs = {} if resume_from is None \
-        else {"resume_from": resume_from}
-    solver = config.build_solver(formula, budget=budget, **build_kwargs)
-    sink = None
-    if proof_path is not None:
-        from repro.verify.drat import FileProofSink, attach_proof_stream
-        sink = attach_proof_stream(solver, FileProofSink(proof_path))
-    if progress_interval is None:
-        solver.on_checkpoint = beat
-    else:
-        last_sent = [started]
-        sends = [0]
-
-        def beat_and_report() -> None:
-            now = time.monotonic()
-            heartbeats[index] = now
-            if now - last_sent[0] >= progress_interval:
-                last_sent[0] = now
-                arena = getattr(solver, "arena", None)
-                if arena is not None:
-                    # Sync the clause-arena high-water mark so live
-                    # snapshots report occupancy (the engine itself
-                    # only syncs it at GC time and at solve end).
-                    solver.stats.arena_peak_lits = arena.peak_lits
-                blob = None
-                export = getattr(solver, "export_checkpoint", None)
-                if export is not None:
-                    blob = export().serialize_bounded()
-                    if blob is not None and corrupting:
-                        blob = corrupt_blob(blob)
-                try:
-                    channel.send(("progress", index, attempt,
-                                  now - started,
-                                  stats_to_dict(solver.stats)))
-                    if blob is not None:
-                        channel.send(("checkpoint", index, attempt,
-                                      blob))
-                except (BrokenPipeError, OSError):
-                    pass          # supervisor gone; keep solving
-                sends[0] += 1
-                if kill_after is not None and sends[0] >= kill_after:
-                    os._exit(23)  # scripted mid-job death
-        solver.on_checkpoint = beat_and_report
-    result = solver.solve()
-    if sink is not None:
-        sink.close()
-        if result.status is not Status.UNSATISFIABLE:
-            try:
-                os.remove(proof_path)
-            except OSError:
-                pass
-    beat()
-    model = None
-    if result.assignment is not None:
-        model = {var: result.assignment.value_of(var)
-                 for var in result.assignment.assigned_variables()}
-    channel.send((index, attempt, result.status.name, model,
-                  stats_to_dict(result.stats)))
-    channel.close()
-
-
 class _Slot:
     """Mutable supervisor-side state of one configuration."""
 
-    __slots__ = ("index", "config", "proc", "conn", "attempts",
-                 "outcome", "result", "stats", "respawn_at", "died_at",
-                 "spawned_at", "finished_at", "timeline", "traced_base",
-                 "proof_path", "discrepancy", "last_checkpoint")
+    __slots__ = ("index", "config", "handle", "attempts", "outcome",
+                 "result", "stats", "respawn_at", "spawned_at",
+                 "finished_at", "timeline", "traced_base", "proof_path",
+                 "discrepancy", "last_checkpoint")
 
     def __init__(self, index: int, config):
         self.index = index
         self.config = config
-        self.proc = None
-        self.conn = None              # supervisor end of the pipe
+        #: The latest attempt's worker (None before the first spawn).
+        self.handle: Optional[WorkerHandle] = None
         self.attempts = 0
         #: DRUP proof file of the *latest* attempt (proof_dir mode).
         self.proof_path: Optional[str] = None
@@ -323,13 +182,12 @@ class _Slot:
         self.discrepancy: Optional[str] = None
         #: Latest piggybacked checkpoint blob (verified only by the
         #: respawned worker's checksummed loader -- a corrupt blob
-        #: demotes that respawn to a cold restart, see _worker_main).
+        #: demotes that respawn to a cold restart).
         self.last_checkpoint: Optional[bytes] = None
         self.outcome: Optional[WorkerOutcome] = None
         self.result: Optional[SolverResult] = None
         self.stats: Optional[SolverStats] = None
         self.respawn_at: Optional[float] = None
-        self.died_at: Optional[float] = None
         self.spawned_at: Optional[float] = None
         self.finished_at: Optional[float] = None
         # Progress samples across every attempt (survives respawns).
@@ -349,8 +207,9 @@ class Supervisor:
     Parameters
     ----------
     configs:
-        portfolio configurations; each must provide ``name`` and
-        ``build_solver(formula, budget=...)``
+        portfolio configurations; each must provide ``name``,
+        ``build_solver(formula, budget=..., resume_from=...)`` returning
+        a CDCL engine, and ``perturbed(attempt)``
         (:class:`repro.solvers.portfolio.PortfolioConfig` does).
     budget:
         race-wide :class:`Budget`.  Its wall-clock deadline bounds the
@@ -435,8 +294,6 @@ class Supervisor:
         deadline = (None if self.budget.wall_seconds is None
                     else started + self.budget.wall_seconds)
         clause_lits = [tuple(clause) for clause in formula.clauses]
-        ctx = multiprocessing.get_context()
-        heartbeats = ctx.Array("d", len(self.configs))
         slots = [_Slot(index, config)
                  for index, config in enumerate(self.configs)]
         deadline_hit = False
@@ -455,54 +312,36 @@ class Supervisor:
             # Respawns run a *perturbed* configuration: a config that
             # crashes deterministically would otherwise burn all its
             # backoff retries re-crashing identically.
-            config = slot.config
-            if slot.attempts > 0:
-                perturbed = getattr(config, "perturbed", None)
-                if perturbed is not None:
-                    config = perturbed(slot.attempts)
-            proof_path = None
-            if self.proof_dir is not None:
-                proof_path = os.path.join(
-                    self.proof_dir,
-                    f"worker{slot.index}-attempt{slot.attempts}.drup")
-            slot.proof_path = proof_path
-            # A fresh pipe per attempt: the previous one may hold the
-            # torn remains of a killed sender.
-            if slot.conn is not None:
-                slot.conn.close()
-            reader, writer = ctx.Pipe(duplex=False)
-            slot.conn = reader
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(slot.index, slot.attempts, clause_lits,
-                      formula.num_vars, config, worker_budget,
-                      heartbeats, writer, self.fault_plan,
-                      self.progress_interval, proof_path,
-                      # Warm respawn: the previous attempt's last
-                      # piggybacked search state (None on attempt 0).
-                      slot.last_checkpoint),
-                daemon=True)
+            config = slot.config if slot.attempts == 0 \
+                else slot.config.perturbed(slot.attempts)
+            slot.proof_path = None if self.proof_dir is None \
+                else os.path.join(self.proof_dir, f"worker{slot.index}"
+                                  f"-attempt{slot.attempts}.drup")
+            slot.handle = WorkerHandle(WorkerSpec(
+                key=slot.index, attempt=slot.attempts,
+                clause_lits=clause_lits, num_vars=formula.num_vars,
+                config=config, budget=worker_budget,
+                progress_interval=self.progress_interval,
+                proof_path=slot.proof_path,
+                # Warm respawn: the previous attempt's last
+                # piggybacked search state (None on attempt 0).
+                resume_blob=slot.last_checkpoint,
+                **scripted_faults(self.fault_plan, slot.index,
+                                  slot.attempts)))
             slot.attempts += 1
             slot.respawn_at = None
-            slot.died_at = None
             slot.spawned_at = now
-            heartbeats[slot.index] = now      # liveness until first beat
-            slot.proc = proc
-            proc.start()
-            writer.close()    # keep only the worker's end open
             if self.tracer is not None:
                 self.tracer.event("portfolio.spawn", worker=slot.index,
                                   config=slot.config.name,
                                   attempt=slot.attempts,
                                   seed=getattr(config, "seed", None))
 
-        def record_payload(target: _Slot, payload, now: float) -> None:
-            _index, status, model, stats = self._validate(payload,
-                                                          clause_lits)
-            if target.settled or target.result is not None:
-                return                        # stale duplicate
+        def record_result(target: _Slot, event: Event,
+                          now: float) -> None:
+            target.stats, target.finished_at = event.stats, now
             certificate = None
-            if (status is Status.UNSATISFIABLE
+            if (event.status is Status.UNSATISFIABLE
                     and self.proof_dir is not None):
                 # The UNSAT mirror of the SAT model audit: the claim
                 # is only believed once the worker's streamed proof
@@ -515,8 +354,6 @@ class Supervisor:
                 if not certificate.valid:
                     target.outcome = WorkerOutcome.DISCREPANT
                     target.discrepancy = certificate.reason
-                    target.stats = stats
-                    target.finished_at = now
                     if self.tracer is not None:
                         self.tracer.event(
                             "portfolio.discrepant", worker=target.index,
@@ -524,23 +361,13 @@ class Supervisor:
                             reason=certificate.reason
                             or "proof check failed")
                     return
-            target.stats = stats
-            target.finished_at = now
-            assignment = Assignment(model) if model is not None else None
-            target.result = SolverResult(status, assignment, stats,
+            assignment = Assignment(event.model) \
+                if event.model is not None else None
+            target.result = SolverResult(event.status, assignment,
+                                         event.stats,
                                          certificate=certificate)
-            if status is Status.UNKNOWN:
+            if event.status is Status.UNKNOWN:
                 target.outcome = WorkerOutcome.UNKNOWN
-
-        def reject_payload(target: _Slot, now: float) -> None:
-            """A malformed/false payload: its sender can't be trusted.
-            Treat exactly like a crash of that attempt."""
-            if target.settled or target.result is not None:
-                return
-            if target.proc is not None and target.proc.is_alive():
-                target.proc.terminate()
-            target.died_at = now - _DEATH_GRACE   # fail it immediately
-            self._handle_crash(target, now)
 
         try:
             now = time.monotonic()
@@ -556,10 +383,11 @@ class Supervisor:
                 # Wait on every live worker's pipe, then decide.  The
                 # sender of a payload is identified by its pipe, never
                 # by the (untrusted) index inside the payload.
-                watch = {slot.conn: slot for slot in slots
-                         if slot.conn is not None and not slot.settled
-                         and slot.result is None}
-                timeout = self._poll(deadline, now)
+                watch = {slot.handle.conn: slot for slot in slots
+                         if slot.handle is not None
+                         and not slot.handle.eof}
+                timeout = self.poll_interval if deadline is None \
+                    else max(0.0, min(self.poll_interval, deadline - now))
                 if watch:
                     ready = mp_connection.wait(list(watch), timeout)
                 else:
@@ -567,33 +395,24 @@ class Supervisor:
                     ready = []
                 for conn in ready:
                     slot = watch[conn]
-                    now = time.monotonic()
-                    try:
-                        if not conn.poll(0):
-                            continue
-                        payload = conn.recv()
-                    except (EOFError, OSError):
-                        # Sender gone, channel drained; liveness
-                        # supervision decides crash vs. clean exit.
-                        conn.close()
-                        slot.conn = None
-                        continue
-                    if _is_checkpoint(payload):
-                        # Piggybacked search state for warm respawns;
-                        # shape-audited only -- checksum verification
-                        # is the respawned loader's job.
-                        if not self._record_checkpoint(slot, payload):
-                            reject_payload(slot, now)
-                    elif _is_progress(payload):
-                        # Live effort snapshot, not a verdict; fold it
-                        # into the timeline (or distrust the sender).
-                        if not self._record_progress(slot, payload):
-                            reject_payload(slot, now)
-                    elif (self._payload_valid(payload, clause_lits)
-                            and payload[0] == slot.index):
-                        record_payload(slot, payload, now)
-                    else:
-                        reject_payload(slot, now)
+                    for event in slot.handle.drain():
+                        now = time.monotonic()
+                        if event is None:
+                            # A malformed or false payload: its sender
+                            # can't be trusted -- exactly a crash.
+                            slot.handle.stop()
+                            self._handle_crash(slot, now)
+                        elif event.tag == "checkpoint":
+                            # Held for a warm respawn; the respawned
+                            # worker's checksummed loader is the
+                            # content check.
+                            slot.last_checkpoint = event.blob
+                        elif event.tag == "progress":
+                            self._record_progress(slot, event)
+                        else:
+                            record_result(slot, event, now)
+                            slot.handle.stop()
+                            break
 
                 if any(s.result is not None
                        and s.result.status is not Status.UNKNOWN
@@ -601,34 +420,19 @@ class Supervisor:
                     break                     # decisive verdict arrived
 
                 now = time.monotonic()
-                self._supervise(slots, spawn, heartbeats, now)
+                self._supervise(slots, spawn, now)
                 if all(s.settled for s in slots):
                     break                     # nobody left to wait for
         finally:
             for slot in slots:
-                if slot.proc is not None and slot.proc.is_alive():
-                    slot.proc.terminate()
-            for slot in slots:
-                if slot.proc is not None:
-                    slot.proc.join(timeout=5.0)
-                    if slot.proc.is_alive():  # pragma: no cover
-                        slot.proc.kill()
-                        slot.proc.join(timeout=5.0)
-                if slot.conn is not None:
-                    slot.conn.close()
-                    slot.conn = None
+                if slot.handle is not None:
+                    slot.handle.stop()
 
         return self._assemble(slots, started, deadline_hit)
 
     # ------------------------------------------------------------------
 
-    def _poll(self, deadline: Optional[float], now: float) -> float:
-        if deadline is None:
-            return self.poll_interval
-        return max(0.0, min(self.poll_interval, deadline - now))
-
-    def _supervise(self, slots: List[_Slot], spawn, heartbeats,
-                   now: float) -> None:
+    def _supervise(self, slots: List[_Slot], spawn, now: float) -> None:
         """One pass of liveness checks: crashes, hangs, respawns."""
         for slot in slots:
             if slot.settled or slot.result is not None:
@@ -637,22 +441,12 @@ class Supervisor:
                 if now >= slot.respawn_at:
                     spawn(slot, now)
                 continue
-            proc = slot.proc
-            if proc is None:
-                continue
-            if not proc.is_alive():
-                # Possibly crashed -- but its result may still be
-                # buffered in its pipe; allow a grace period so the
-                # drain loop can read it before deciding.
-                if slot.died_at is None:
-                    slot.died_at = now
-                elif now - slot.died_at >= _DEATH_GRACE:
-                    self._handle_crash(slot, now)
-                continue
-            slot.died_at = None
-            if (self.hang_timeout is not None
-                    and now - heartbeats[slot.index] > self.hang_timeout):
-                proc.terminate()
+            failure = slot.handle.liveness(now, self.hang_timeout)
+            if failure is not None:
+                slot.handle.stop()
+            if failure == "crash":
+                self._handle_crash(slot, now)
+            elif failure == "hang":
                 slot.outcome = WorkerOutcome.TIMED_OUT
                 slot.finished_at = now
 
@@ -661,29 +455,17 @@ class Supervisor:
         if retries_used < self.max_retries:
             delay = self.backoff_seconds * (2 ** retries_used)
             slot.respawn_at = now + delay
-            slot.died_at = None
         else:
             slot.outcome = WorkerOutcome.CRASHED
             slot.finished_at = now
 
     # -- progress timeline --------------------------------------------
 
-    def _record_progress(self, slot: _Slot, payload) -> bool:
-        """Fold one worker progress snapshot into its slot's timeline.
-
-        Returns False on any malformed field (the sender then loses
-        all trust, exactly like a malformed result payload).
-        """
-        _tag, index, attempt, elapsed, stats_dict = payload
-        if (not isinstance(index, int) or index != slot.index
-                or not isinstance(attempt, int) or attempt < 0
-                or not isinstance(elapsed, (int, float))
-                or isinstance(elapsed, bool) or elapsed < 0
-                or not isinstance(stats_dict, dict)):
-            return False
-        # Round-trip through the audited projection: unknown keys and
-        # wrong-typed values are discarded, never stored.
-        clean = stats_from_dict(stats_dict).as_dict()
+    def _record_progress(self, slot: _Slot, event: Event) -> None:
+        """Fold one audited progress snapshot into the slot's
+        timeline (and the tracer's per-worker progress stream)."""
+        attempt = event.attempt
+        clean = event.stats.as_dict()
         tracer = self.tracer
         if tracer is not None:
             base_attempt, base = slot.traced_base
@@ -692,7 +474,7 @@ class Supervisor:
             if tracer.progress(
                     f"portfolio.worker{slot.index}",
                     worker=slot.index, config=slot.config.name,
-                    attempt=attempt, elapsed=float(elapsed),
+                    attempt=attempt, elapsed=event.elapsed,
                     decisions=clean["decisions"]
                     - base.get("decisions", 0),
                     conflicts=clean["conflicts"]
@@ -703,52 +485,8 @@ class Supervisor:
                     arena_lits=clean["arena_peak_lits"]):
                 slot.traced_base = (attempt, clean)
         slot.timeline.append({"attempt": attempt,
-                              "elapsed": float(elapsed),
+                              "elapsed": event.elapsed,
                               "stats": clean})
-        return True
-
-    def _record_checkpoint(self, slot: _Slot, payload) -> bool:
-        """Hold a worker's piggybacked checkpoint blob for its next
-        respawn.  Shape violations cost the sender its trust; blob
-        *content* is deliberately not verified here -- the checksummed
-        loader in the respawned worker rejects corruption and demotes
-        to a cold restart (the fault-plan contract)."""
-        _tag, index, attempt, blob = payload
-        if (not isinstance(index, int) or index != slot.index
-                or not isinstance(attempt, int) or attempt < 0
-                or not isinstance(blob, (bytes, bytearray))
-                or len(blob) > _MAX_CHECKPOINT_BLOB):
-            return False
-        slot.last_checkpoint = bytes(blob)
-        return True
-
-    # -- payload validation -------------------------------------------
-
-    def _payload_valid(self, payload, clause_lits) -> bool:
-        if not isinstance(payload, tuple) or len(payload) != 5:
-            return False
-        index, attempt, status_name, model, stats_dict = payload
-        if not isinstance(index, int) or not 0 <= index < len(
-                self.configs):
-            return False
-        if status_name not in Status.__members__:
-            return False
-        if model is not None:
-            if not isinstance(model, dict) or not all(
-                    isinstance(k, int) and isinstance(v, bool)
-                    for k, v in model.items()):
-                return False
-        if Status[status_name] is Status.SATISFIABLE:
-            if model is None or not _model_satisfies(clause_lits, model):
-                return False
-        return True
-
-    def _validate(self, payload, clause_lits):
-        """Parsed (index, status, model, stats) of a valid payload."""
-        index, _attempt, status_name, model, stats_dict = payload
-        stats = stats_from_dict(stats_dict) \
-            if isinstance(stats_dict, dict) else SolverStats()
-        return index, Status[status_name], model, stats
 
     # -- report assembly ----------------------------------------------
 
@@ -793,26 +531,22 @@ class Supervisor:
                     attempts=slot.attempts,
                     samples=len(slot.timeline))
 
-        respawns = sum(max(0, slot.attempts - 1) for slot in slots)
+        report = PortfolioReport(
+            result=SolverResult(Status.UNKNOWN), workers=workers,
+            wall_seconds=now - started, deadline_hit=deadline_hit,
+            total_respawns=sum(max(0, slot.attempts - 1)
+                               for slot in slots))
         if decisive:
-            index, result = decisive[0]       # lowest index: reproducible
-            return PortfolioReport(
-                result=result, workers=workers,
-                winner=self.configs[index].name, winner_index=index,
-                wall_seconds=now - started, deadline_hit=deadline_hit,
-                total_respawns=respawns)
+            index, report.result = decisive[0]  # lowest index wins
+            report.winner_index = index
+            report.winner = self.configs[index].name
+            return report
         # No decisive verdict: surface any exhausted worker's stats.
         for slot in slots:
             if slot.result is not None:
-                return PortfolioReport(
-                    result=SolverResult(Status.UNKNOWN, None,
-                                        slot.result.stats),
-                    workers=workers, wall_seconds=now - started,
-                    deadline_hit=deadline_hit, total_respawns=respawns)
-        return PortfolioReport(
-            result=SolverResult(Status.UNKNOWN), workers=workers,
-            wall_seconds=now - started, deadline_hit=deadline_hit,
-            total_respawns=respawns)
+                report.result.stats = slot.result.stats
+                break
+        return report
 
 
 def _slot_spent(slot: "_Slot") -> Optional[SolverStats]:
@@ -831,41 +565,5 @@ def _slot_spent(slot: "_Slot") -> Optional[SolverStats]:
         return None
     total = SolverStats()
     for stats_dict in latest.values():
-        total.merge(stats_from_dict(stats_dict))
+        total.merge(SolverStats.from_dict(stats_dict))
     return total
-
-
-def _is_progress(payload) -> bool:
-    """Shape test for a worker progress tuple (content audited later)."""
-    return (isinstance(payload, tuple) and len(payload) == 5
-            and payload[0] == "progress")
-
-
-#: Upper bound on a stored checkpoint blob -- workers already bound
-#: their exports (serialize_bounded), so anything bigger is a
-#: misbehaving sender, not a big search.
-_MAX_CHECKPOINT_BLOB = 1 << 20
-
-
-def _is_checkpoint(payload) -> bool:
-    """Shape test for a piggybacked checkpoint tuple."""
-    return (isinstance(payload, tuple) and len(payload) == 4
-            and payload[0] == "checkpoint")
-
-
-def _model_satisfies(clause_lits, model: Dict[int, bool]) -> bool:
-    """Audit a SAT claim: no clause may be falsified by *model*.
-
-    Clauses left undecided by a partial model are accepted (any
-    extension can satisfy them), matching the engines' contract.
-    """
-    for clause in clause_lits:
-        falsified = True
-        for lit in clause:
-            value = model.get(abs(lit))
-            if value is None or value == (lit > 0):
-                falsified = False
-                break
-        if falsified and clause:
-            return False
-    return True

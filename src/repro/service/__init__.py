@@ -11,7 +11,6 @@ runtime already has (budgets, supervision, fault injection, proofs):
   weighted deficit round-robin dispatch, hardness shedding;
 * :mod:`repro.service.cache` -- LRU of terminal result bodies keyed
   by the canonical formula hash;
-* :mod:`repro.service.worker` -- the per-attempt solve process;
 * :mod:`repro.service.server` -- the asyncio :class:`SolveServer`:
   retry with inherited budgets, graceful degradation, drain-based
   shutdown, STATUS introspection;

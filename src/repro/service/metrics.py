@@ -146,8 +146,10 @@ class ServiceMetrics:
         self.registry.gauge(
             "service.journal_write_errors").set(write_errors)
 
-    def set_cache(self, stats: Mapping[str, Any]) -> None:
-        """Refresh cache counters/gauges from ``ResultCache.stats()``.
+    def set_cache(self, stats: Mapping[str, Any],
+                  rejected: int) -> None:
+        """Refresh cache counters/gauges from ``ResultCache.stats()``
+        and the count of hits withheld by the model audit.
 
         The cache keeps its own authoritative totals, so its
         monotonically growing hits/misses/evictions are *assigned*
@@ -159,6 +161,7 @@ class ServiceMetrics:
             if isinstance(value, int):
                 self.registry.counter(
                     f"service.cache.{key}").value = value
+        self.registry.counter("service.cache.rejected").value = rejected
         for key in ("size", "capacity"):
             value = stats.get(key)
             if isinstance(value, (int, float)):

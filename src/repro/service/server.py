@@ -4,12 +4,15 @@ retry with inherited budgets, graceful degradation and drain.
 One :class:`SolveServer` owns the tenant queues, the result cache and
 a pool of at most ``max_workers`` concurrently running solve
 processes.  The control plane is a single asyncio event loop; the
-data plane is one ``multiprocessing`` process per job *attempt*,
-supervised from the loop through the same primitives the portfolio
-supervisor uses (a private result pipe, a heartbeat cell, termination
-on hang) but without blocking: the loop polls pipes with
-``poll(0)`` between ``await asyncio.sleep(poll_interval)`` ticks, so
-a hundred waiting clients cost nothing while two workers solve.
+data plane is one worker process per job *attempt*, spawned, audited
+and reaped through the worker core the portfolio supervisor shares
+(:mod:`repro.runtime.worker`: a private result pipe, a heartbeat
+cell, termination on hang).  The loop never blocks on a worker: it
+waits until the attempt's pipe turns readable (``loop.add_reader``;
+a worker's death closes the write end, which reads as end-of-file),
+and ticks every ``poll_interval`` only for the deadline and hang
+checks, so a hundred waiting clients cost nothing while two workers
+solve.
 
 The failure contract, end to end:
 
@@ -44,31 +47,29 @@ The failure contract, end to end:
   (:mod:`repro.service.journal`); a restarted server replays it,
   re-enqueueing accepted-but-unfinished jobs and re-serving terminal
   ones idempotently through the ``query`` op, so even a SIGKILL'd
-  server loses no accepted job and flips no released verdict.
+  server loses no accepted job and flips no released verdict;
+* a cached SAT answer (fresh or journal-seeded) is mapped into the
+  submitter's variable numbering and re-audited against the
+  submitter's clauses before release (:mod:`repro.service.cache`); a
+  body that fails is a cache miss, never a response.
 """
 
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import os
 import random
 import shutil
 import tempfile
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, NamedTuple, Optional
 
 from repro.cnf.canonical import clauses_key
 from repro.cnf.formula import CNFFormula
 from repro.runtime.budget import Budget
 from repro.runtime.faults import SERVER_KILL_EXIT, ServiceFaultPlan
-from repro.runtime.supervisor import (
-    _DEATH_GRACE,
-    _MAX_CHECKPOINT_BLOB,
-    _is_checkpoint,
-    _model_satisfies,
-    stats_from_dict,
-)
+from repro.runtime.worker import (Event, WorkerHandle, WorkerSpec,
+                                  scripted_faults)
 from repro.service.admission import (
     ServiceConfig,
     TenantQueues,
@@ -88,37 +89,33 @@ from repro.service.protocol import (
     decode_message,
     parse_submit,
 )
-from repro.service.worker import _job_worker_main
 from repro.solvers.portfolio import PortfolioConfig
 from repro.solvers.result import SolverStats, Status
 
 
-class _Attempt:
+class _Attempt(NamedTuple):
     """Outcome of one supervised worker attempt."""
 
-    __slots__ = ("kind", "status_name", "model", "stats", "partial",
-                 "proof_path")
+    kind: str                     # result | crash | hang | poison |
+    partial: Optional[Dict[str, Any]] = None              # deadline
+    result: Optional[Event] = None    # the audited verdict (result)
+    proof_path: Optional[str] = None
 
-    def __init__(self, kind: str, status_name: Optional[str] = None,
-                 model: Optional[Dict[int, bool]] = None,
-                 stats: Optional[Dict[str, Any]] = None,
-                 partial: Optional[Dict[str, Any]] = None,
-                 proof_path: Optional[str] = None):
-        self.kind = kind          # result | crash | hang | poison |
-        self.status_name = status_name              # deadline
-        self.model = model
-        self.stats = stats
-        self.partial = partial
-        self.proof_path = proof_path
+
+def _cache_key(request: SubmitRequest):
+    """The result-cache key: the canonical formula hash joined with
+    the certify flag."""
+    return (clauses_key(request.clause_lits, request.num_vars),
+            request.certify)
 
 
 class _Job:
     """Server-side state of one accepted submission."""
 
     __slots__ = ("request", "key", "future", "submitted_at",
-                 "dispatched_at", "heartbeat", "attempt_started",
-                 "task", "partial", "send_frame", "stream_seq",
-                 "last_frame_at", "last_frame_totals",
+                 "dispatched_at", "heartbeat", "task", "partial",
+                 "send_frame", "stream_seq", "last_frame_at",
+                 "last_frame_totals",
                  "last_checkpoint", "recovered")
 
     def __init__(self, request: SubmitRequest, key,
@@ -129,7 +126,6 @@ class _Job:
         self.submitted_at = time.monotonic()
         self.dispatched_at: Optional[float] = None
         self.heartbeat = None            # current attempt's mp.Value
-        self.attempt_started: Optional[float] = None
         self.task: Optional["asyncio.Task"] = None
         self.partial: Optional[Dict[str, Any]] = None
         # Streaming state (set only for stream:true jobs on a
@@ -250,22 +246,14 @@ class SolveServer:
                 request = parse_submit(raw)
             except ProtocolError:
                 continue
-            if (request.use_cache
-                    and body.get("status") in ("SATISFIABLE",
-                                               "UNSATISFIABLE")
-                    and not body.get("degraded")):
-                key = (clauses_key(request.clause_lits,
-                                   request.num_vars), request.certify)
-                self._cache.put(key, body)
-                reseeded += 1
+            reseeded += self._remember(_cache_key(request), request,
+                                       body)
         for job_id, raw in replay.pending.items():
             try:
                 request = parse_submit(raw)
             except ProtocolError:
                 continue
-            job = _Job(request, (clauses_key(request.clause_lits,
-                                             request.num_vars),
-                                 request.certify),
+            job = _Job(request, _cache_key(request),
                        asyncio.get_running_loop().create_future())
             job.recovered = True
             if not self._queues.push(request.tenant, job):
@@ -390,10 +378,9 @@ class SolveServer:
                                    "server is draining",
                                    tenant=request.tenant)
 
-        key = (clauses_key(request.clause_lits, request.num_vars),
-               request.certify)
+        key = _cache_key(request)
         if request.use_cache:
-            body = self._cache.get(key)
+            body = self._cache.get(key, request.clause_lits)
             if body is not None:
                 self._emit_result(request, body, cached=True,
                                   wall=0.0)
@@ -542,7 +529,8 @@ class SolveServer:
                                 self._queues.deficits())
         self.metrics.set_workers(len(self._active),
                                  self.config.max_workers)
-        self.metrics.set_cache(self._cache.stats())
+        self.metrics.set_cache(self._cache.stats(),
+                               self._cache.rejected)
         self.metrics.set_journal(
             self._recovered, len(self._terminal),
             0 if self._journal is None
@@ -599,10 +587,7 @@ class SolveServer:
             self._pending_ids.discard(request.job_id)
             self._wake.set()
         self._jobs_done += 1
-        if (request.use_cache
-                and body["status"] in ("SATISFIABLE", "UNSATISFIABLE")
-                and not body["degraded"]):
-            self._cache.put(job.key, body)
+        self._remember(job.key, request, body)
         self._emit_result(request, body,
                           cached=False,
                           wall=time.monotonic() - job.submitted_at)
@@ -622,6 +607,17 @@ class SolveServer:
         self._by_id.pop(request.job_id, None)
         if not job.future.done():
             job.future.set_result(response)
+
+    def _remember(self, key, request: SubmitRequest,
+                  body: Dict[str, Any]) -> bool:
+        """Cache a decisive, non-degraded *body* (fresh or replayed
+        from the journal) as the answer to *request*'s clauses."""
+        if (not request.use_cache or body.get("degraded")
+                or body.get("status") not in ("SATISFIABLE",
+                                              "UNSATISFIABLE")):
+            return False
+        self._cache.put(key, body, request.clause_lits)
+        return True
 
     def _emit_result(self, request: SubmitRequest,
                      body: Dict[str, Any], cached: bool,
@@ -666,7 +662,7 @@ class SolveServer:
             outcome = await self._run_attempt(job, attempt, budget)
             if outcome.partial is not None:
                 job.partial = outcome.partial
-                burned = stats_from_dict(outcome.partial["stats"])
+                burned = SolverStats.from_dict(outcome.partial["stats"])
                 if spent is None:
                     spent = burned
                 else:
@@ -707,23 +703,12 @@ class SolveServer:
     async def _run_attempt(self, job: _Job, attempt: int,
                            budget: Budget) -> _Attempt:
         """Spawn and supervise one worker process, without blocking
-        the event loop."""
+        the event loop: the loop wakes when the worker's pipe turns
+        readable (a payload, or the end-of-file its death leaves) and
+        otherwise every ``poll_interval`` for the deadline and hang
+        checks."""
         config = self.config
         request = job.request
-        ctx = multiprocessing.get_context()
-        reader, writer = ctx.Pipe(duplex=False)
-        heartbeat = ctx.Value("d", time.monotonic())
-        job.heartbeat = heartbeat
-        job.attempt_started = time.monotonic()
-        fault_action = None
-        kill_after = 2
-        corrupt_checkpoints = False
-        if self.fault_plan is not None:
-            fault_action = self.fault_plan.action(request.job_id,
-                                                  attempt)
-            kill_after = self.fault_plan.kill_after_checkpoints
-            corrupt_checkpoints = self.fault_plan.corrupts_checkpoint(
-                request.job_id, attempt)
         proof_path = None
         if request.certify:
             proof_path = os.path.join(
@@ -739,71 +724,65 @@ class SolveServer:
         solver_config = self.solver_config
         if attempt > 0:
             solver_config = solver_config.perturbed(attempt)
-        proc = ctx.Process(
-            target=_job_worker_main,
-            args=(request.job_id, attempt, request.clause_lits,
-                  request.num_vars, solver_config, budget, heartbeat,
-                  writer, fault_action, kill_after,
-                  config.progress_interval, proof_path,
-                  config.worker_check_interval, trace_path,
-                  job.last_checkpoint, corrupt_checkpoints),
-            daemon=True)
-        proc.start()
-        writer.close()
-        started = time.monotonic()
+        handle = WorkerHandle(WorkerSpec(
+            key=request.job_id, attempt=attempt,
+            clause_lits=request.clause_lits, num_vars=request.num_vars,
+            config=solver_config, budget=budget,
+            progress_interval=config.progress_interval,
+            proof_path=proof_path,
+            check_interval=config.worker_check_interval,
+            trace_path=trace_path, search_metrics=True,
+            resume_blob=job.last_checkpoint,
+            **scripted_faults(self.fault_plan, request.job_id, attempt)))
+        job.heartbeat = handle.heartbeat
         deadline = (None if budget.wall_seconds is None
-                    else started + budget.wall_seconds
+                    else time.monotonic() + budget.wall_seconds
                     + config.poll_interval)
+        loop = asyncio.get_running_loop()
+        readable = asyncio.Event()
+        fd = handle.conn.fileno()
         partial: Optional[Dict[str, Any]] = None
-        died_at: Optional[float] = None
         try:
+            loop.add_reader(fd, readable.set)
             while True:
+                readable.clear()
+                for event in handle.drain():
+                    if event is None:
+                        return _Attempt("poison", partial=partial)
+                    if event.tag == "checkpoint":
+                        # Held for the next retry; the consuming
+                        # worker's checksummed loader is the content
+                        # check, so a corrupt blob just starts cold.
+                        job.last_checkpoint = event.blob
+                        self.metrics.record_checkpoint(request.tenant)
+                    elif event.tag == "progress":
+                        partial = {"attempt": event.attempt,
+                                   "elapsed": round(event.elapsed, 4),
+                                   "stats": event.stats.as_dict(),
+                                   "extras": event.extras}
+                        await self._stream_progress(job, partial)
+                    else:
+                        return _Attempt("result", partial, event,
+                                        proof_path)
+                if handle.eof:
+                    # End-of-file stays readable: stop watching, let
+                    # the liveness check below tell crash from exit.
+                    loop.remove_reader(fd)
                 now = time.monotonic()
-                try:
-                    while reader.poll(0):
-                        payload = reader.recv()
-                        if _is_checkpoint(payload):
-                            if self._record_checkpoint(job, payload):
-                                continue
-                            proc.terminate()
-                            return _Attempt("poison", partial=partial)
-                        parsed = self._parse_payload(
-                            request, payload, partial, proof_path)
-                        if parsed is None:
-                            continue          # stale attempt echo
-                        if isinstance(parsed, dict):
-                            partial = parsed  # progress snapshot
-                            await self._stream_progress(job, parsed)
-                            continue
-                        if parsed.kind != "result":
-                            proc.terminate()
-                        parsed.partial = partial
-                        return parsed
-                except (EOFError, OSError):
-                    pass              # sender gone; liveness decides
                 if deadline is not None and now >= deadline:
-                    proc.terminate()
                     return _Attempt("deadline", partial=partial)
-                if not proc.is_alive():
-                    if died_at is None:
-                        died_at = now
-                    elif now - died_at >= _DEATH_GRACE:
-                        return _Attempt("crash", partial=partial)
-                else:
-                    died_at = None
-                    if now - heartbeat.value > config.hang_timeout:
-                        proc.terminate()
-                        return _Attempt("hang", partial=partial)
-                await asyncio.sleep(config.poll_interval)
+                failure = handle.liveness(now, config.hang_timeout)
+                if failure is not None:
+                    return _Attempt(failure, partial=partial)
+                try:
+                    await asyncio.wait_for(readable.wait(),
+                                           config.poll_interval)
+                except asyncio.TimeoutError:
+                    pass
         finally:
+            loop.remove_reader(fd)
             job.heartbeat = None
-            if proc.is_alive():
-                proc.terminate()
-            proc.join(timeout=5.0)
-            if proc.is_alive():       # pragma: no cover
-                proc.kill()
-                proc.join(timeout=5.0)
-            reader.close()
+            handle.stop()
 
     async def _stream_progress(self, job: _Job,
                                progress: Dict[str, Any]) -> None:
@@ -817,10 +796,10 @@ class SolveServer:
                 < self.config.stream_interval):
             return
         job.last_frame_at = now
-        stats = progress.get("stats") or {}
+        stats = progress["stats"]
         attempt = progress["attempt"]
         elapsed = progress["elapsed"]
-        propagations = stats.get("propagations") or 0
+        propagations = stats["propagations"]
         last_attempt, last_elapsed, last_props = job.last_frame_totals
         if last_attempt == attempt and elapsed > last_elapsed:
             rate = ((propagations - last_props)
@@ -830,18 +809,11 @@ class SolveServer:
         else:
             rate = 0.0
         job.last_frame_totals = (attempt, elapsed, propagations)
-        snapshot = {
-            "conflicts": stats.get("conflicts") or 0,
-            "decisions": stats.get("decisions") or 0,
-            "propagations": propagations,
-            "restarts": stats.get("restarts") or 0,
-            "propagations_per_sec": round(max(rate, 0.0), 1),
-        }
-        extras = progress.get("extras") or {}
-        fill = extras.get("arena_fill")
-        if isinstance(fill, (int, float)) \
-                and not isinstance(fill, bool):
-            snapshot["arena_fill"] = fill
+        snapshot = {name: stats[name] for name in
+                    ("conflicts", "decisions", "propagations", "restarts")}
+        snapshot["propagations_per_sec"] = round(max(rate, 0.0), 1)
+        if "arena_fill" in progress["extras"]:   # audited: a number
+            snapshot["arena_fill"] = progress["extras"]["arena_fill"]
         frame = {"kind": "progress", "id": job.request.job_id,
                  "seq": job.stream_seq, "attempt": attempt + 1,
                  "elapsed": elapsed, "snapshot": snapshot}
@@ -859,82 +831,12 @@ class SolveServer:
         except (ConnectionError, OSError):
             job.send_frame = None   # client gone; stop relaying
 
-    def _record_checkpoint(self, job: _Job, payload) -> bool:
-        """Audit one piggybacked checkpoint payload; keep the blob.
-
-        Shape-audited only (id echo, attempt, bounded bytes): the
-        checksum is deliberately left for the *consuming* worker's
-        loader to verify, because that respawn path must survive a
-        corrupt blob anyway -- verifying here would just hide that
-        path from the corruption fault.
-        """
-        _tag, job_id, attempt, blob = payload
-        if (job_id != job.request.job_id
-                or not isinstance(attempt, int)
-                or isinstance(attempt, bool) or attempt < 0
-                or not isinstance(blob, (bytes, bytearray))
-                or len(blob) > _MAX_CHECKPOINT_BLOB):
-            return False
-        job.last_checkpoint = bytes(blob)
-        self.metrics.record_checkpoint(job.request.tenant)
-        return True
-
-    def _parse_payload(self, request: SubmitRequest, payload,
-                       partial, proof_path):
-        """Audit one worker pipe payload.
-
-        Returns a progress dict, a terminal :class:`_Attempt`
-        (``result`` for a believed verdict, ``poison`` for anything
-        malformed -- the sender loses all trust), or None for a stale
-        echo that should be skipped.
-        """
-        if (isinstance(payload, tuple) and len(payload) in (5, 6)
-                and payload[0] == "progress"):
-            _tag, job_id, attempt, elapsed, stats_dict = payload[:5]
-            extras = payload[5] if len(payload) == 6 else {}
-            if (job_id != request.job_id
-                    or not isinstance(attempt, int)
-                    or not isinstance(elapsed, (int, float))
-                    or isinstance(elapsed, bool) or elapsed < 0
-                    or not isinstance(stats_dict, dict)
-                    or not isinstance(extras, dict)):
-                return _Attempt("poison")
-            return {"attempt": attempt, "elapsed": round(
-                float(elapsed), 4),
-                "stats": stats_from_dict(stats_dict).as_dict(),
-                "extras": {
-                    key: value for key, value in extras.items()
-                    if isinstance(key, str)
-                    and isinstance(value, (int, float))
-                    and not isinstance(value, bool)}}
-        if (isinstance(payload, tuple) and len(payload) == 6
-                and payload[0] == "result"):
-            _tag, job_id, attempt, status_name, model, stats = payload
-            if (job_id != request.job_id
-                    or status_name not in Status.__members__
-                    or not isinstance(stats, dict)):
-                return _Attempt("poison")
-            if model is not None:
-                if not isinstance(model, dict) or not all(
-                        isinstance(k, int) and isinstance(v, bool)
-                        for k, v in model.items()):
-                    return _Attempt("poison")
-            if Status[status_name] is Status.SATISFIABLE:
-                if model is None or not _model_satisfies(
-                        request.clause_lits, model):
-                    return _Attempt("poison")
-            return _Attempt("result", status_name=status_name,
-                            model=model,
-                            stats=stats_from_dict(stats).as_dict(),
-                            proof_path=proof_path)
-        return _Attempt("poison")
-
     # -- terminal bodies -----------------------------------------------
 
     def _result_body(self, job: _Job, attempts: int,
                      outcome: _Attempt) -> Dict[str, Any]:
         request = job.request
-        status = Status[outcome.status_name]
+        status, model = outcome.result.status, outcome.result.model
         degraded = False
         reason = None
         certificate = None
@@ -958,7 +860,7 @@ class SolveServer:
                 from repro.cnf.assignment import Assignment
                 from repro.verify.certificate import model_certificate
                 cert = model_certificate(
-                    formula, Assignment(dict(outcome.model)))
+                    formula, Assignment(dict(model)))
                 certificate = {"kind": cert.kind, "valid": cert.valid,
                                "steps": 0, "reason": cert.reason}
                 if not cert.valid:   # pragma: no cover - pre-audited
@@ -980,11 +882,10 @@ class SolveServer:
         model_lits = None
         if status is Status.SATISFIABLE:
             model_lits = [var if value else -var
-                          for var, value in sorted(
-                              outcome.model.items())]
+                          for var, value in sorted(model.items())]
         return {"status": status.name,
                 "model": model_lits,
-                "stats": outcome.stats,
+                "stats": outcome.result.stats.as_dict(),
                 "attempts": attempts,
                 "degraded": degraded,
                 "degraded_reason": reason,

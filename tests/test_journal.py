@@ -155,6 +155,23 @@ class TestServerJournal:
             assert again["body"] == first["body"]
             assert client.status()["jobs"]["done"] == 0   # no re-run
 
+    def test_reseeded_cache_maps_renumbered_models(self, tmp_path):
+        # Journal replay re-seeds the cache through the same audited
+        # path as a fresh answer: a renumbered resubmission after a
+        # restart gets a model over its own variables.
+        path = str(tmp_path / "journal.jsonl")
+        with InProcessClient(fast_config(), journal=path) as client:
+            first = client.submit("job-1", clauses=[[1, 2], [-1, 2]],
+                                  num_vars=2)
+        with InProcessClient(fast_config(), journal=path) as client:
+            cached = client.submit("job-2", clauses=[[3, 8], [-3, 8]],
+                                   num_vars=8)
+        assert first["body"]["status"] == "SATISFIABLE"
+        assert cached["cached"] is True
+        model = {abs(lit): lit > 0 for lit in cached["body"]["model"]}
+        assert model[8] is True
+        assert set(model) <= {3, 8}
+
     def test_restart_reenqueues_pending_job(self, tmp_path):
         # A server killed between admission and verdict leaves only a
         # "submitted" record; the restarted server must finish the job.

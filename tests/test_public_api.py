@@ -52,6 +52,7 @@ PUBLIC_MODULES = [
     "repro.runtime",
     "repro.runtime.budget",
     "repro.runtime.supervisor",
+    "repro.runtime.worker",
     "repro.runtime.faults",
     "repro.obs",
     "repro.obs.trace",

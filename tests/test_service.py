@@ -177,6 +177,29 @@ class TestResultCache:
         cache.put(("a", False), {"a": 1})
         assert cache.get(("a", False)) is None
 
+    def test_hit_maps_the_model_into_the_submitters_numbering(self):
+        cache = ResultCache(4)
+        body = {"status": "SATISFIABLE", "model": [-1, 2, 3]}
+        cache.put(("k", False), body, [[1, 2], [-1, 2]])
+        # Exact repeat: the stored body itself, byte-identical.
+        assert cache.get(("k", False), [[-1, 2], [2, 1]]) is body
+        # Order-preserving renumbering 1->4, 2->7: mapped position by
+        # position; var 3 occurs in no clause and has no image.
+        mapped = cache.get(("k", False), [[4, 7], [-4, 7]])
+        assert mapped["model"] == [-4, 7]
+        assert body["model"] == [-1, 2, 3]       # stored body intact
+
+    def test_hit_failing_the_model_audit_is_a_counted_miss(self):
+        cache = ResultCache(4)
+        cache.put(("k", False), {"status": "SATISFIABLE", "model": [1]},
+                  [[1]])
+        assert cache.get(("k", False), [[-1]]) is None
+        assert (cache.hits, cache.misses, cache.rejected) == (0, 1, 1)
+        # UNSAT bodies carry no model and replay unchanged.
+        cache.put(("u", False), {"status": "UNSATISFIABLE",
+                                 "model": None}, [[1], [-1]])
+        assert cache.get(("u", False), [[3], [-3]])["model"] is None
+
 
 class TestProtocol:
     def test_roundtrip(self):
@@ -255,6 +278,25 @@ class TestInProcessService:
                         "num_vars": formula.num_vars}
             third = client.submit("j3", **permuted)
             assert third["cached"] is True
+
+    def test_renumbered_repeat_gets_a_model_of_its_own_clauses(self):
+        # Two formulas with one canonical key: the second is answered
+        # from the cache, but with a model over *its* variables (the
+        # cache once replayed [1, 2], which leaves 5 and 9 unassigned).
+        with InProcessClient(fast_config()) as client:
+            first = client.submit("a", clauses=[[1, 2], [-1, 2], [1, -2]],
+                                  num_vars=2)
+            second = client.submit("b",
+                                   clauses=[[5, 9], [-5, 9], [5, -9]],
+                                   num_vars=9)
+            again = client.submit("c", clauses=[[2, 1], [2, -1], [-2, 1]],
+                                  num_vars=2)
+        assert first["cached"] is False
+        assert first["body"]["model"] == [1, 2]
+        assert second["cached"] is True
+        assert second["body"]["model"] == [5, 9]
+        assert again["cached"] is True
+        assert again["body"] == first["body"]
 
     def test_certified_unsat_carries_checked_proof(self):
         with InProcessClient(fast_config()) as client:

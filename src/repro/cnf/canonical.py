@@ -11,26 +11,34 @@ spelling of a formula:
   preserving the relative order of the surviving variables -- the
   transformation the differential fuzzer historically applied inline
   to its reproducers;
-* :func:`normal_form` additionally sorts literals inside each clause
-  and the clauses themselves (deduplicating literal repeats inside a
-  clause, keeping clause multiplicity);
-* :func:`canonical_key` hashes that normal form into a stable hex
+* :func:`clauses_normal_form` (and :func:`normal_form` for a
+  :class:`CNFFormula`) compacts the variables the same way, then sorts
+  literals inside each clause and the clauses themselves
+  (deduplicating literal repeats inside a clause, keeping clause
+  multiplicity);
+* :func:`clauses_key` (and :func:`canonical_key` for a
+  :class:`CNFFormula`) hashes that normal form into a stable hex
   digest -- the service-cache key.
+
+The normal form is computed on plain int tuples, never on
+:class:`~repro.cnf.clause.Clause` objects: the service hashes every
+submission, cache hits included, on its event loop, where the cost
+is linear in the formula plus one sort of its clauses.
 
 The key is invariant under clause reordering, literal reordering,
 duplicate literals inside a clause, DIMACS formatting noise, and
 variable-numbering *gaps*.  It is deliberately **not** invariant under
 arbitrary variable permutations or polarity flips: full isomorphism
-detection is graph canonization, far too heavy for an admission path
-that must answer in microseconds.  Two textually independent
-encodings of the same circuit therefore hash differently -- a cache
-miss, never a wrong answer.
+detection is graph canonization, far too heavy for a path every
+submission takes.  Two textually independent encodings of the same
+circuit therefore hash differently -- a cache miss, never a wrong
+answer.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.cnf.formula import CNFFormula
 
@@ -65,42 +73,60 @@ def renumber(formula: CNFFormula) -> Tuple[CNFFormula, Dict[int, int]]:
     return renamed, mapping
 
 
-def normal_form(formula: CNFFormula) -> List[Tuple[int, ...]]:
-    """The sorted-clause normal form of *formula*.
+def clauses_normal_form(
+        clauses: Iterable[Iterable[int]]) -> List[Tuple[int, ...]]:
+    """The sorted-clause normal form of raw clause lists.
 
-    Literals are deduplicated and sorted inside each clause (by
-    variable, negative literal first), clauses are sorted
-    lexicographically, and variables are compact-renumbered *after*
-    sorting so the numbering is a pure function of the clause
-    structure, not of the input's numbering gaps.
+    Variables are compact-renumbered to ``1..k`` (the survivors keep
+    their relative order, as in :func:`renumber`), literals are
+    deduplicated and sorted inside each clause (by variable, negative
+    literal first) and the clauses are sorted lexicographically.  The
+    renumbering preserves the order of signed literals, so it does not
+    matter that it happens before the sorting: the numbering is a pure
+    function of the clause structure, not of the input's gaps.
+
+    Works on the int tuples directly -- no :class:`Clause` objects --
+    because the service computes it for every submission.
     """
-    renamed, _ = renumber(formula)
-    clauses = sorted(
-        tuple(sorted(set(clause), key=lambda l: (abs(l), l)))
-        for clause in renamed.clauses)
-    return clauses
+    clauses = list(clauses)
+    # Each literal's code is 2 * new_var + (lit > 0): sorting codes
+    # sorts by variable, negative first.
+    code: Dict[int, int] = {}
+    literal = [0, 0]
+    for new, var in enumerate(used_variables(clauses), start=1):
+        code[-var] = 2 * new
+        code[var] = 2 * new + 1
+        literal += (-new, new)
+    normal = [tuple([literal[c] for c in sorted({code[lit]
+                                                for lit in clause})])
+              for clause in clauses]
+    normal.sort()
+    return normal
 
 
-def canonical_key(formula: CNFFormula) -> str:
-    """Stable hex digest of *formula*'s normal form.
+def normal_form(formula: CNFFormula) -> List[Tuple[int, ...]]:
+    """:func:`clauses_normal_form` of *formula*'s clauses."""
+    return clauses_normal_form(formula.clauses)
+
+
+def clauses_key(clauses: Iterable[Iterable[int]],
+                num_vars: int = 0) -> str:
+    """Stable hex digest of the normal form of raw clause lists
+    (protocol payloads that were never a :class:`CNFFormula`).
 
     Equal keys imply identical normal forms (up to SHA-256 collision),
     so a result cached under this key may be replayed for any formula
-    that hashes to it.
+    that hashes to it.  *num_vars* does not enter the key: unused
+    variables are compacted away.
     """
+    normal = clauses_normal_form(clauses)
     digest = hashlib.sha256(_KEY_VERSION)
-    clauses = normal_form(formula)
-    digest.update(str(len(clauses)).encode("ascii"))
-    for clause in clauses:
-        digest.update(b"\n")
-        digest.update(" ".join(str(lit) for lit in clause)
-                      .encode("ascii"))
+    digest.update(str(len(normal)).encode("ascii"))
+    digest.update("".join("\n" + " ".join(map(str, clause))
+                          for clause in normal).encode("ascii"))
     return digest.hexdigest()
 
 
-def clauses_key(clauses: Sequence[Sequence[int]], num_vars: int) -> str:
-    """:func:`canonical_key` for raw clause lists (protocol payloads
-    that were never a :class:`CNFFormula`)."""
-    return canonical_key(
-        CNFFormula(num_vars=num_vars,
-                   clauses=[tuple(c) for c in clauses]))
+def canonical_key(formula: CNFFormula) -> str:
+    """:func:`clauses_key` of *formula* -- the service-cache key."""
+    return clauses_key(formula.clauses)

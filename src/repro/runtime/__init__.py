@@ -14,7 +14,8 @@ need:
   exponential backoff, hung-worker termination, payload auditing, and
   the per-worker :class:`PortfolioReport`;
 * :mod:`repro.runtime.worker` -- the worker core the supervisor and
-  the solve service share: one entry point, audit and attempt handle;
+  the solve service share: one worker entry point, one payload audit,
+  one worker handle and one idle list for reuse after clean results;
 * :mod:`repro.runtime.faults` -- deterministic fault injection
   (:class:`FaultPlan`) so the recovery paths are testable in CI.
 """

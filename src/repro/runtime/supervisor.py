@@ -48,8 +48,8 @@ from repro.cnf.assignment import Assignment
 from repro.cnf.formula import CNFFormula
 from repro.runtime.budget import Budget
 from repro.runtime.faults import FaultPlan
-from repro.runtime.worker import (Event, WorkerHandle, WorkerSpec,
-                                  scripted_faults)
+from repro.runtime.worker import (Event, WorkerHandle, WorkerPool,
+                                  WorkerSpec, scripted_faults)
 from repro.solvers.result import SolverResult, SolverStats, Status
 
 
@@ -296,6 +296,9 @@ class Supervisor:
         clause_lits = [tuple(clause) for clause in formula.clauses]
         slots = [_Slot(index, config)
                  for index, config in enumerate(self.configs)]
+        # The race's own idle workers: closed when the race ends, so
+        # no worker outlives it.
+        workers = WorkerPool(max_idle=len(slots))
         deadline_hit = False
 
         def spawn(slot: _Slot, now: float) -> None:
@@ -317,7 +320,7 @@ class Supervisor:
             slot.proof_path = None if self.proof_dir is None \
                 else os.path.join(self.proof_dir, f"worker{slot.index}"
                                   f"-attempt{slot.attempts}.drup")
-            slot.handle = WorkerHandle(WorkerSpec(
+            slot.handle = workers.start(WorkerSpec(
                 key=slot.index, attempt=slot.attempts,
                 clause_lits=clause_lits, num_vars=formula.num_vars,
                 config=config, budget=worker_budget,
@@ -411,7 +414,8 @@ class Supervisor:
                             self._record_progress(slot, event)
                         else:
                             record_result(slot, event, now)
-                            slot.handle.stop()
+                            workers.release(slot.handle)
+                            slot.handle = None
                             break
 
                 if any(s.result is not None
@@ -427,6 +431,7 @@ class Supervisor:
             for slot in slots:
                 if slot.handle is not None:
                     slot.handle.stop()
+            workers.close()
 
         return self._assemble(slots, started, deadline_hit)
 

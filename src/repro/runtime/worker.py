@@ -3,26 +3,34 @@
 A portfolio race slot (:class:`repro.runtime.supervisor.Supervisor`)
 and a service job attempt (:class:`repro.service.server.SolveServer`)
 both reach their verdict in a worker spawned, audited and reaped
-here; the two supervisors keep only their policy.  Three parts:
+here; the two supervisors keep only their policy.  Four parts:
 
-* :func:`worker_main`, the one worker entry point: it solves one
-  :class:`WorkerSpec`, heartbeats from the solver's cooperative
-  checkpoint, piggybacks progress and search checkpoints on its
-  private pipe, and carries out any scripted fault itself;
+* :func:`worker_loop`, the one worker process entry point: it runs
+  :func:`worker_main` on each :class:`WorkerSpec` its supervisor
+  sends, which solves the spec, heartbeats from the solver's
+  cooperative checkpoint, piggybacks progress and search checkpoints
+  on the worker's private pipe, and carries out any scripted fault
+  itself;
 * :func:`audit`, the one payload audit.  Every payload is a tagged
   tuple -- ``("progress", key, attempt, elapsed, stats, extras)``,
   ``("checkpoint", key, attempt, blob)`` or ``("result", key,
   attempt, status, model, stats)`` -- and anything else, or a SAT
   claim whose model leaves a clause without a true literal, costs
   the sender all trust;
-* :class:`WorkerHandle`, one attempt: spawn with a fresh pipe and
-  heartbeat, drain, liveness (alive, crashed or hung) and stop.
+* :class:`WorkerHandle`, one worker process: spawn with its own
+  pipes and heartbeat, assign a spec, drain, liveness (alive,
+  crashed or hung) and stop;
+* :class:`WorkerPool`, one supervisor's idle workers: a worker that
+  delivered an audited result takes the next spec, and every other
+  outcome reaps the process, so a retry always gets a fresh one.
 
-Each attempt has its own pipe, NOT a shared ``multiprocessing.Queue``:
+Each worker has its own pipes, NOT a shared ``multiprocessing.Queue``:
 killing a worker that holds a shared queue's write lock would
-deadlock every other worker's ``put()``, while a per-attempt pipe
-can only lose the victim's own channel.  A payload's sender is known
-from its pipe, never from the (untrusted) key inside it.
+deadlock every other worker's ``put()``, while a private pipe can
+only lose the victim's own channel.  A payload's sender is known
+from its pipe, never from the (untrusted) key inside it.  A reused
+pipe stays safe: it is FIFO, a worker sends nothing after a result,
+and every payload must carry the current attempt's key and attempt.
 """
 
 from __future__ import annotations
@@ -54,6 +62,12 @@ MAX_CHECKPOINT_BLOB = 1 << 20
 #: (distinct, for post-mortem clarity in process tables).
 _CRASH_EXIT = 17
 _KILL_EXIT = 23
+
+#: Seconds between an idle worker's checks that its supervisor is
+#: still alive.  An orphan holds copies of every socket the supervisor
+#: had open when it forked (a server's listening socket among them),
+#: so it must go before a restarted server binds the same port.
+_ORPHAN_CHECK = 0.05
 
 Key = Union[int, str]
 
@@ -104,8 +118,9 @@ def scripted_faults(plan, key: Key, attempt: int) -> Dict[str, Any]:
 
 
 def worker_main(spec: WorkerSpec, heartbeat, channel) -> None:
-    """Entry point of one supervised worker process: solve *spec*,
-    report over *channel* (this attempt's private pipe end).
+    """Solve one *spec* in a supervised worker process, reporting over
+    *channel* (this worker's private pipe end); the last payload of a
+    spec is its ``result``.
 
     *heartbeat* is a shared ``multiprocessing.Value`` written from the
     solver's cooperative checkpoint, so a worker that stops
@@ -126,13 +141,11 @@ def worker_main(spec: WorkerSpec, heartbeat, channel) -> None:
         # Wrong shape AND a bogus status: must fail the audit, never
         # parse as a verdict.
         channel.send(("garbage", key, "NOT_A_STATUS"))
-        channel.close()
         return
     if fault == FALSE_UNSAT:
         # A well-formed lie: passes the audit, so only a proof check
         # can reject it.
         channel.send(("result", key, attempt, "UNSATISFIABLE", None, {}))
-        channel.close()
         return
 
     started = heartbeat.value = time.monotonic()
@@ -215,7 +228,30 @@ def worker_main(spec: WorkerSpec, heartbeat, channel) -> None:
                  for var in result.assignment.assigned_variables()}
     channel.send(("result", key, attempt, result.status.name, model,
                   result.stats.as_dict()))
-    channel.close()
+
+
+def worker_loop(inbox, heartbeat, channel) -> None:
+    """Entry point of a supervised worker process: run
+    :func:`worker_main` on each :class:`WorkerSpec` that arrives on
+    *inbox*, this worker's private spec pipe, reporting on *channel*.
+
+    The process serves specs until one scripts a fault, until its
+    supervisor terminates it, or until the supervisor process is gone
+    (checked while idle: inbox end-of-file cannot be relied on, since
+    workers forked later hold copies of the inbox's write end).
+    """
+    parent = os.getppid()
+    while True:
+        while not inbox.poll(_ORPHAN_CHECK):
+            if os.getppid() != parent:
+                return
+        try:
+            spec = inbox.recv()
+        except EOFError:
+            return
+        worker_main(spec, heartbeat, channel)
+        if spec.fault is not None:
+            return
 
 
 # -- the one payload audit ---------------------------------------------
@@ -297,41 +333,76 @@ def audit(payload, key: Key, clause_lits) -> Optional[Event]:
                  stats=SolverStats.from_dict(stats))
 
 
-# -- the one attempt handle --------------------------------------------
+# -- the worker handle and the idle list -------------------------------
 
 class WorkerHandle:
-    """One supervised worker attempt: process, private pipe, heartbeat.
+    """One supervised worker process: its private spec inbox and
+    result pipe, and its heartbeat cell.
 
-    Construction spawns the worker.  The supervisor then calls
-    :meth:`drain` whenever ``conn`` is readable, :meth:`liveness` on
-    its own tick, and :meth:`stop` exactly when it is done with the
-    attempt (stop is idempotent).
+    Construction spawns the worker on its first *spec*; :meth:`assign`
+    hands a reused worker the next one.  Each spec is one attempt:
+    the supervisor calls :meth:`drain` whenever ``conn`` is readable
+    and :meth:`liveness` on its own tick, and when it is done with the
+    attempt gives the handle back to its :class:`WorkerPool` (or
+    calls :meth:`stop`, which is idempotent).
     """
 
     def __init__(self, spec: WorkerSpec):
         ctx = multiprocessing.get_context()
-        self.key = spec.key
-        self.clause_lits = spec.clause_lits
         self.conn, writer = ctx.Pipe(duplex=False)
-        #: The attempt's heartbeat cell: liveness until the first beat.
+        reader, self._inbox = ctx.Pipe(duplex=False)
+        #: The worker's heartbeat cell, reset by every assignment.
         self.heartbeat = ctx.Value("d", time.monotonic())
+        #: The current attempt's spec.
+        self.spec = spec
         #: True once the pipe hit end-of-file (or the handle stopped):
         #: nothing more will ever be read from ``conn``.
         self.eof = False
+        #: The current attempt's last drained event: None while it
+        #: runs, ``"result"`` after an audited verdict, ``"untrusted"``
+        #: after a payload that failed the audit.
+        self.ended: Optional[str] = None
         self._died_at: Optional[float] = None
-        self.proc = ctx.Process(target=worker_main,
-                                args=(spec, self.heartbeat, writer),
+        self.proc = ctx.Process(target=worker_loop,
+                                args=(reader, self.heartbeat, writer),
                                 daemon=True)
         self.proc.start()
-        writer.close()        # keep only the worker's end open
+        # Keep only the worker's ends open in the worker.
+        writer.close()
+        reader.close()
+        self.assign(spec)
+
+    def assign(self, spec: WorkerSpec) -> None:
+        """Start *spec* on this worker.  The heartbeat is reset first,
+        so time spent idle never reads as a hang."""
+        self.spec = spec
+        self.ended = None
+        self._died_at = None
+        self.heartbeat.value = time.monotonic()
+        try:
+            self._inbox.send(spec)
+        except OSError:
+            pass              # died while idle: liveness reports it
+
+    @property
+    def reusable(self) -> bool:
+        """May this worker take another spec?  Only after an audited
+        result of a spec that scripted no fault, with nothing unread
+        behind it (a worker sends nothing after its result)."""
+        return (self.ended == "result" and self.spec.fault is None
+                and not self.eof and self.proc.is_alive()
+                and not self.conn.poll(0))
 
     def drain(self) -> List[Optional[Event]]:
-        """Every payload waiting in the pipe, audited, in arrival
-        order, without blocking.  An untrusted payload ends the list
-        as None; end-of-file ends it quietly and sets :attr:`eof`
-        (liveness then tells a crash from a clean exit)."""
+        """Every payload of the current attempt waiting in the pipe,
+        audited, in arrival order, without blocking.  A payload for
+        another key or attempt is untrusted: an untrusted payload ends
+        the list as None and a result ends it; end-of-file ends it
+        quietly and sets :attr:`eof` (liveness then tells a crash from
+        a clean exit)."""
         events: List[Optional[Event]] = []
-        while not self.eof:
+        spec = self.spec
+        while not self.eof and self.ended is None:
             try:
                 if not self.conn.poll(0):
                     break
@@ -339,10 +410,14 @@ class WorkerHandle:
             except (EOFError, OSError):
                 self.eof = True
                 break
-            event = audit(payload, self.key, self.clause_lits)
+            event = audit(payload, spec.key, spec.clause_lits)
+            if event is not None and event.attempt != spec.attempt:
+                event = None
             events.append(event)
             if event is None:
-                break
+                self.ended = "untrusted"
+            elif event.tag == "result":
+                self.ended = "result"
         return events
 
     def liveness(self, now: float,
@@ -364,7 +439,7 @@ class WorkerHandle:
 
     def stop(self) -> None:
         """Terminate (then kill, if need be) and reap the worker, and
-        close the pipe."""
+        close its pipes."""
         if self.conn.closed:
             return
         self.eof = True
@@ -375,3 +450,56 @@ class WorkerHandle:
             self.proc.kill()
             self.proc.join(timeout=5.0)
         self.conn.close()
+        self._inbox.close()
+
+
+class WorkerPool:
+    """The workers one supervisor owns between attempts.
+
+    :meth:`start` runs a spec on an idle worker when one is left, else
+    on a fresh process; :meth:`release` keeps a worker that delivered
+    an audited result, up to *max_idle* idle workers, and reaps every
+    other one (crash, hang, deadline, poison, cancellation, a scripted
+    fault), so the next attempt gets a fresh process.  :meth:`close`
+    terminates the idle workers.
+
+    A spec whose budget sets ``max_memory_mb`` always gets a fresh
+    process: the memory probe reads the process-lifetime peak, which
+    on a reused worker would charge it an earlier job's footprint.
+    """
+
+    def __init__(self, max_idle: int):
+        self.max_idle = max_idle
+        self._idle: List[WorkerHandle] = []
+        #: Worker processes started so far.
+        self.spawned = 0
+
+    def start(self, spec: WorkerSpec) -> WorkerHandle:
+        """A worker running *spec*."""
+        handle = None
+        if spec.budget is None or spec.budget.max_memory_mb is None:
+            while self._idle and handle is None:
+                handle = self._idle.pop()
+                if not handle.proc.is_alive():
+                    handle.stop()
+                    handle = None
+        if handle is None:
+            self.spawned += 1
+            return WorkerHandle(spec)
+        handle.assign(spec)
+        return handle
+
+    def release(self, handle: WorkerHandle) -> None:
+        """Take *handle* back once its attempt is over: idle it if it
+        may be reused and there is room, else reap it."""
+        if handle.reusable and len(self._idle) < self.max_idle:
+            self._idle.append(handle)
+        else:
+            handle.stop()
+
+    def close(self) -> None:
+        """Terminate and reap every idle worker; a worker released
+        after this is reaped too."""
+        self.max_idle = 0
+        while self._idle:
+            self._idle.pop().stop()

@@ -129,10 +129,14 @@ class ServiceMetrics:
                 _labeled("service.wdrr_deficit",
                          tenant=tenant)).set(deficit)
 
-    def set_workers(self, busy: int, capacity: int) -> None:
-        """Refresh the worker-state gauges."""
+    def set_workers(self, busy: int, capacity: int,
+                    spawned: int) -> None:
+        """Refresh the worker-state gauges and the count of worker
+        processes started (assigned: the worker pool keeps the
+        authoritative total)."""
         self.registry.gauge("service.workers_busy").set(busy)
         self.registry.gauge("service.workers_max").set(capacity)
+        self.registry.counter("service.worker_spawns").value = spawned
 
     def set_journal(self, recovered: int, terminal: int,
                     write_errors: int) -> None:

@@ -2,17 +2,21 @@
 retry with inherited budgets, graceful degradation and drain.
 
 One :class:`SolveServer` owns the tenant queues, the result cache and
-a pool of at most ``max_workers`` concurrently running solve
-processes.  The control plane is a single asyncio event loop; the
-data plane is one worker process per job *attempt*, spawned, audited
-and reaped through the worker core the portfolio supervisor shares
-(:mod:`repro.runtime.worker`: a private result pipe, a heartbeat
-cell, termination on hang).  The loop never blocks on a worker: it
-waits until the attempt's pipe turns readable (``loop.add_reader``;
-a worker's death closes the write end, which reads as end-of-file),
-and ticks every ``poll_interval`` only for the deadline and hang
-checks, so a hundred waiting clients cost nothing while two workers
-solve.
+at most ``max_workers`` concurrently running solve processes.  The
+control plane is a single asyncio event loop; the data plane is a
+set of worker processes, spawned, audited and reaped through the
+worker core the portfolio supervisor shares
+(:mod:`repro.runtime.worker`: a private spec inbox and result pipe,
+a heartbeat cell, termination on hang).  A worker that delivers an
+audited result goes back to the server's idle list (at most
+``max_workers`` long, for the server's lifetime) and takes a later
+job's attempt; a crash, hang, deadline, poisoned payload,
+cancellation or scripted fault reaps it, so the retry runs in a
+fresh process.  The loop never blocks on a worker: it waits until
+the worker's pipe turns readable (``loop.add_reader``; a worker's
+death closes the write end, which reads as end-of-file), and ticks
+every ``poll_interval`` only for the deadline and hang checks, so a
+hundred waiting clients cost nothing while two workers solve.
 
 The failure contract, end to end:
 
@@ -68,7 +72,7 @@ from repro.cnf.canonical import clauses_key
 from repro.cnf.formula import CNFFormula
 from repro.runtime.budget import Budget
 from repro.runtime.faults import SERVER_KILL_EXIT, ServiceFaultPlan
-from repro.runtime.worker import (Event, WorkerHandle, WorkerSpec,
+from repro.runtime.worker import (Event, WorkerPool, WorkerSpec,
                                   scripted_faults)
 from repro.service.admission import (
     ServiceConfig,
@@ -197,6 +201,9 @@ class SolveServer:
         self._active: Dict[str, _Job] = {}
         self._pending_ids: set = set()
         self._slots = asyncio.Semaphore(self.config.max_workers)
+        self._workers = WorkerPool(max_idle=self.config.max_workers)
+        # Open TCP connection handlers (run_server lets them finish).
+        self._connections: set = set()
         self._wake = asyncio.Event()
         self._draining = False
         self._closed = False
@@ -310,6 +317,7 @@ class SolveServer:
         if self._dispatcher is not None:
             await self._dispatcher
             self._dispatcher = None
+        self._workers.close()
         if self._proof_dir is not None:
             shutil.rmtree(self._proof_dir, ignore_errors=True)
             self._proof_dir = None
@@ -512,7 +520,8 @@ class SolveServer:
                 "deficits": self._queues.deficits(),
                 "queued": len(self._queues),
                 "workers": {"max": self.config.max_workers,
-                            "busy": len(self._active)},
+                            "busy": len(self._active),
+                            "spawned": self._workers.spawned},
                 "active": active,
                 "cache": self._cache.stats(),
                 "jobs": {"done": self._jobs_done,
@@ -528,7 +537,8 @@ class SolveServer:
         self.metrics.set_queues(self._queues.depths(),
                                 self._queues.deficits())
         self.metrics.set_workers(len(self._active),
-                                 self.config.max_workers)
+                                 self.config.max_workers,
+                                 self._workers.spawned)
         self.metrics.set_cache(self._cache.stats(),
                                self._cache.rejected)
         self.metrics.set_journal(
@@ -702,11 +712,11 @@ class SolveServer:
 
     async def _run_attempt(self, job: _Job, attempt: int,
                            budget: Budget) -> _Attempt:
-        """Spawn and supervise one worker process, without blocking
-        the event loop: the loop wakes when the worker's pipe turns
-        readable (a payload, or the end-of-file its death leaves) and
-        otherwise every ``poll_interval`` for the deadline and hang
-        checks."""
+        """Run and supervise one attempt on a worker process, without
+        blocking the event loop: the loop wakes when the worker's pipe
+        turns readable (a payload, or the end-of-file its death
+        leaves) and otherwise every ``poll_interval`` for the deadline
+        and hang checks."""
         config = self.config
         request = job.request
         proof_path = None
@@ -724,7 +734,7 @@ class SolveServer:
         solver_config = self.solver_config
         if attempt > 0:
             solver_config = solver_config.perturbed(attempt)
-        handle = WorkerHandle(WorkerSpec(
+        handle = self._workers.start(WorkerSpec(
             key=request.job_id, attempt=attempt,
             clause_lits=request.clause_lits, num_vars=request.num_vars,
             config=solver_config, budget=budget,
@@ -782,7 +792,7 @@ class SolveServer:
         finally:
             loop.remove_reader(fd)
             job.heartbeat = None
-            handle.stop()
+            self._workers.release(handle)
 
     async def _stream_progress(self, job: _Job,
                                progress: Dict[str, Any]) -> None:
@@ -928,6 +938,9 @@ class SolveServer:
     async def _handle_connection(self, reader, writer) -> None:
         lock = asyncio.Lock()
         pending: set = set()
+        handler = asyncio.current_task()
+        self._connections.add(handler)
+        handler.add_done_callback(self._connections.discard)
 
         async def send_frame(frame: Dict[str, Any]) -> None:
             # Non-terminal progress frames share the response lock so
@@ -986,6 +999,11 @@ async def respond_error(writer, lock: "asyncio.Lock",
             pass
 
 
+#: Seconds ``run_server`` waits for open connections to close after a
+#: shutdown.
+_HANGUP_GRACE = 1.0
+
+
 async def run_server(config: Optional[ServiceConfig] = None,
                      host: str = "127.0.0.1", port: int = 9123, *,
                      fault_plan: Optional[ServiceFaultPlan] = None,
@@ -1012,3 +1030,9 @@ async def run_server(config: Optional[ServiceConfig] = None,
     finally:
         tcp.close()
         await tcp.wait_closed()
+        # Let clients read their last response (the shutdown reply
+        # among them) and hang up: returning cancels every handler
+        # still reading, and a reply not yet written is lost.
+        if server._connections:
+            await asyncio.wait(server._connections,
+                               timeout=_HANGUP_GRACE)

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro.cnf import canonical_key, normal_form, renumber
-from repro.cnf.canonical import clauses_key
+from repro.cnf.canonical import clauses_key, clauses_normal_form
 from repro.cnf.formula import CNFFormula
 
 
@@ -102,6 +102,51 @@ class TestCanonicalKey:
     def test_normal_form_sorted(self):
         formula = _formula([(9, -5), (5,)], 9)
         assert normal_form(formula) == [(-1, 2), (1,)]
+
+
+def _reference_normal_form(formula):
+    """The normal form as it was first specified, built through
+    CNFFormula and Clause objects: compact-renumber, then sort each
+    clause's literals (by variable, negative first) and the clauses.
+    The int-tuple implementation must agree with it exactly."""
+    renamed, _ = renumber(formula)
+    return sorted(tuple(sorted(set(clause), key=lambda l: (abs(l), l)))
+                  for clause in renamed.clauses)
+
+
+class TestNormalFormOnRawClauses:
+    #: Gaps, a duplicate literal, a tautology and an empty clause.
+    PINNED = [(9, -5, 9), (5,), (-2, 7, 2), (), (7, -9, 5)]
+
+    def test_pinned_digest(self):
+        # Any change to the normal form or its byte layout must fail
+        # here until _KEY_VERSION is bumped.
+        assert clauses_key(self.PINNED, 12) == (
+            "aea86bfe8c6abef4dee8779824a350569690c4b0e5df0fe93ed67b77"
+            "acad7a95")
+        assert clauses_key([], 0) == (
+            "300ac9a54d53f3a1a86de98473439d8175d900403476888961324261"
+            "986df6f8")
+
+    def test_pinned_normal_form(self):
+        assert clauses_normal_form(self.PINNED) == \
+            [(), (-2, 4), (-1, 1, 3), (2,), (2, 3, -4)]
+
+    def test_matches_the_reference_on_random_formulas(self):
+        rng = random.Random(2024)
+        for trial in range(300):
+            num_vars = rng.randint(1, 30)
+            clauses = [tuple(rng.choice((-1, 1))
+                             * rng.randint(1, num_vars)
+                             * rng.choice((1, 1, 4))   # gaps
+                             for _ in range(rng.randint(0, 6)))
+                       for _ in range(rng.randint(0, 25))]
+            formula = _formula(clauses, 4 * num_vars)
+            expected = _reference_normal_form(formula)
+            assert clauses_normal_form(clauses) == expected, clauses
+            assert normal_form(formula) == expected
+            assert clauses_key(clauses, formula.num_vars) == \
+                canonical_key(formula)
 
 
 class TestFuzzerUsesRenumber:

@@ -489,6 +489,38 @@ class TestFaultTolerance:
             assert body["status"] in ("SATISFIABLE", "UNSATISFIABLE")
 
 
+class TestWorkerReuse:
+    def test_clean_stream_reuses_its_workers(self):
+        """20 concurrent clean jobs on 2 slots run on at most 2 worker
+        processes, and the spawn count is visible to an operator."""
+        jobs = [(f"reuse-{index}", random_ksat(20, 60 + index, seed=index))
+                for index in range(20)]
+        reference = {job_id: CDCLSolver(formula).solve().status.name
+                     for job_id, formula in jobs}
+
+        async def stream():
+            server = SolveServer(fast_config(max_workers=2,
+                                             queue_depth=32))
+            await server.start()
+            responses = await asyncio.gather(*(
+                server.handle_message(
+                    {"op": "submit", "id": job_id, "use_cache": False,
+                     **clause_payload(formula)})
+                for job_id, formula in jobs))
+            status = server._status_response(None)
+            text = server._metrics_response(None)["text"]
+            await server.shutdown(grace=2.0)
+            return responses, status, text
+
+        responses, status, text = asyncio.run(stream())
+        for response in responses:
+            assert response["body"]["status"] == reference[response["id"]]
+            assert response["body"]["attempts"] == 1
+        spawned = status["workers"]["spawned"]
+        assert 1 <= spawned <= 2
+        assert f"service_worker_spawns_total {spawned}" in text
+
+
 class TestCertificationDemotion:
     def test_failed_proof_check_demotes_never_flips(self, monkeypatch):
         from repro.verify.checker import CheckOutcome

@@ -143,6 +143,35 @@ class TestCrashRecovery:
             assert_model_satisfies(formula, report.result.assignment)
         assert _no_orphans()
 
+    def test_respawn_reuses_an_idle_worker_and_leaves_none(
+            self, monkeypatch):
+        """Slot 0 exhausts its budget at once and goes idle; slot 1's
+        respawn after its crash runs on that idle worker.  The race's
+        own idle list is closed when the race ends."""
+        import repro.runtime.supervisor as supervisor_module
+        from repro.runtime.budget import Budget
+        from repro.runtime.worker import WorkerPool
+
+        pools = []
+
+        class RecordingPool(WorkerPool):
+            def __init__(self, max_idle):
+                super().__init__(max_idle)
+                pools.append(self)
+
+        monkeypatch.setattr(supervisor_module, "WorkerPool",
+                            RecordingPool)
+        report = Supervisor(default_portfolio(2),
+                            budget=Budget(max_conflicts=1),
+                            fault_plan=FaultPlan(crashes={1: 1}),
+                            backoff_seconds=0.01).run(pigeonhole(6))
+        assert report.status is Status.UNKNOWN
+        assert [w.outcome for w in report.workers] == \
+            [WorkerOutcome.UNKNOWN, WorkerOutcome.UNKNOWN]
+        assert report.workers[1].attempts == 2
+        assert len(pools) == 1 and pools[0].spawned == 2
+        assert _no_orphans()
+
 
 @pytest.mark.slow
 class TestRespawnBudgetThreading:

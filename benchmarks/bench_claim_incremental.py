@@ -3,10 +3,14 @@
 
 ATPG is the paper's canonical iterative consumer [25]: one SAT
 instance per fault, all sharing the good-circuit logic.  Compares a
-fresh solver per fault against the persistent incremental engine
-(clauses learned on earlier faults prune later ones).  Expected
-shape: identical outcomes, lower total conflicts/decisions and wall
-time for the incremental engine.
+fresh solver per fault (on the cone-restricted miter, which copies
+only the fault's fanout cone) against the persistent incremental
+engine (clauses learned on earlier faults prune later ones).
+Expected shape: identical outcomes and fewer total conflicts for the
+incremental engine (66 vs ~150 on rca4).  It is no longer faster:
+each incremental call also assigns every earlier fault's cone
+variables, so its wall time exceeds the fresh path's (EXPERIMENTS.md,
+C8).
 """
 
 import time

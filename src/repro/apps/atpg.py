@@ -4,11 +4,14 @@ The encoding follows Larrabee [20]: for a target stuck-at fault, the
 good circuit and the faulty circuit share their primary inputs; a test
 vector exists iff some primary output can differ, i.e. the miter output
 can be raised.  Satisfying assignments are test vectors; UNSAT proofs
-certify the fault *redundant* (undetectable).
+certify the fault *redundant* (undetectable).  The CNF miter copies
+only the fault's fanout cone; the logic the fault cannot reach is
+encoded once and shared by both circuits
+(:func:`repro.circuits.tseitin.encode_fault_miter`).
 
 Three solving paths are provided:
 
-* plain CDCL on the miter CNF,
+* plain CDCL (or a portfolio race) on the miter CNF,
 * the Section 5 circuit layer (justification frontier + backtracing),
   which returns *partial* test cubes instead of fully specified
   vectors,
@@ -23,7 +26,9 @@ fault dropping, the standard complements of any deterministic ATPG.
 from __future__ import annotations
 
 import enum
+import os
 import random
+import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -33,10 +38,14 @@ from repro.circuits.faults import (
     full_fault_list,
     inject_fault,
 )
-from repro.circuits.gates import GateType
+from repro.circuits.gates import GateType, gate_cnf_clauses
 from repro.circuits.netlist import Circuit
 from repro.circuits.simulate import simulate
-from repro.circuits.tseitin import encode_circuit, encode_miter
+from repro.circuits.tseitin import (
+    encode_circuit,
+    encode_fault_cone,
+    encode_fault_miter,
+)
 from repro.runtime.budget import Budget
 from repro.solvers.cdcl import CDCLSolver
 from repro.solvers.circuit_sat import CircuitSATSolver
@@ -103,6 +112,14 @@ class ATPGReport:
         return covered / total
 
 
+_NO_CIRCUIT_PROOF = ("certify=True needs a clausal proof; the structural "
+                     "'circuit' method records none -- use 'cdcl' or "
+                     "'portfolio'")
+
+_OUTCOME = {Status.SATISFIABLE: TestOutcome.DETECTED,
+            Status.UNSATISFIABLE: TestOutcome.REDUNDANT}
+
+
 def solve_fault(circuit: Circuit, fault: StuckAtFault,
                 method: str = "cdcl",
                 max_conflicts: Optional[int] = 20000,
@@ -112,12 +129,14 @@ def solve_fault(circuit: Circuit, fault: StuckAtFault,
                 proof_dir: Optional[str] = None) -> FaultResult:
     """Generate a test for one fault (or prove it redundant).
 
-    *method*: ``"cdcl"`` solves the miter CNF directly;
-    ``"circuit"`` runs the Section 5 structural layer on the miter,
-    producing a partial test cube; ``"portfolio"`` races diversified
-    CDCL configurations on the miter CNF
-    (:mod:`repro.solvers.portfolio`).  *budget* bounds the solver
-    call (deadline / counters / memory); exhaustion yields ABORTED.
+    *method*: ``"cdcl"`` solves the cone-restricted miter CNF
+    (:func:`~repro.circuits.tseitin.encode_fault_miter`) directly;
+    ``"circuit"`` runs the Section 5 structural layer on the full
+    miter of the circuit and its faulty copy, producing a partial test
+    cube; ``"portfolio"`` races diversified CDCL configurations on the
+    miter CNF (:mod:`repro.solvers.portfolio`).  *budget* bounds the
+    solver call (deadline / counters / memory); exhaustion yields
+    ABORTED.
     *tracer* is handed to the underlying CDCL/portfolio solve (the
     ``"circuit"`` path has no engine-level tracing).
 
@@ -131,56 +150,33 @@ def solve_fault(circuit: Circuit, fault: StuckAtFault,
     certify: asking for both raises ``ValueError``.
     """
     if certify and method == "circuit":
-        raise ValueError(
-            "certify=True needs a clausal proof; the structural "
-            "'circuit' method records none -- use 'cdcl' or "
-            "'portfolio'")
-    faulty = inject_fault(circuit, fault)
+        raise ValueError(_NO_CIRCUIT_PROOF)
     if method == "circuit":
         from repro.circuits.tseitin import build_miter
-        miter, _ = build_miter(circuit, faulty)
-        solver = CircuitSATSolver(miter, {"miter_out": True},
+        miter, _ = build_miter(circuit, inject_fault(circuit, fault))
+        result = CircuitSATSolver(miter, {"miter_out": True},
                                   max_conflicts=max_conflicts,
-                                  budget=budget)
-        result = solver.solve()
-        if result.status is Status.SATISFIABLE:
-            return FaultResult(fault, TestOutcome.DETECTED,
-                               result.input_vector, result.stats)
-        if result.status is Status.UNSATISFIABLE:
-            return FaultResult(fault, TestOutcome.REDUNDANT,
-                               stats=result.stats)
-        return FaultResult(fault, TestOutcome.ABORTED, stats=result.stats)
+                                  budget=budget).solve()
+        return _fault_result(fault, result, result.input_vector)
 
-    encoding = encode_miter(circuit, faulty)
-    proof_path = None
-    if certify and proof_dir is not None:
-        import os
-        os.makedirs(proof_dir, exist_ok=True)
-        proof_path = os.path.join(
-            proof_dir, f"atpg-{fault.node}-sa{int(fault.value)}.drup")
+    encoding = encode_fault_miter(circuit, fault.node, fault.value)
     if method == "portfolio":
         from repro.solvers.portfolio import solve_portfolio
-        race_dir = None
-        ephemeral_dir = None
-        if certify:
-            race_dir = proof_dir
-            if race_dir is None:
-                import shutil
-                import tempfile
-                ephemeral_dir = tempfile.mkdtemp(prefix="repro-atpg-")
-                race_dir = ephemeral_dir
-        try:
+        with tempfile.TemporaryDirectory(prefix="repro-atpg-") as scratch:
             result = solve_portfolio(
                 encoding.formula, max_conflicts=max_conflicts,
                 budget=budget, tracer=tracer,
-                proof_dir=race_dir).result
-        finally:
-            if ephemeral_dir is not None:
-                shutil.rmtree(ephemeral_dir, ignore_errors=True)
-        if ephemeral_dir is not None and result.certificate is not None:
+                proof_dir=(proof_dir or scratch) if certify else None
+            ).result
+        if proof_dir is None and result.certificate is not None:
             result.certificate.proof_path = None
     elif certify:
         from repro.verify.certificate import certified_solve
+        proof_path = None
+        if proof_dir is not None:
+            os.makedirs(proof_dir, exist_ok=True)
+            proof_path = os.path.join(
+                proof_dir, f"atpg-{fault.node}-sa{int(fault.value)}.drup")
         result = certified_solve(encoding.formula,
                                  proof_path=proof_path, tracer=tracer,
                                  max_conflicts=max_conflicts,
@@ -190,18 +186,21 @@ def solve_fault(circuit: Circuit, fault: StuckAtFault,
                             budget=budget)
         solver.tracer = tracer
         result = solver.solve()
-    certificate = result.certificate
-    if result.is_sat:
-        vector = encoding.input_vector(result.assignment, default=False)
-        return FaultResult(fault, TestOutcome.DETECTED, vector,
-                           result.stats, certificate=certificate)
-    if result.is_unsat:
-        return FaultResult(fault, TestOutcome.REDUNDANT,
-                           stats=result.stats, certificate=certificate)
-    # UNKNOWN -- including a certified UNSAT demoted by a failed proof
-    # check (its diagnostic travels in the certificate).
-    return FaultResult(fault, TestOutcome.ABORTED, stats=result.stats,
-                       certificate=certificate)
+    return _fault_result(fault, result, encoding.input_vector(
+        result.assignment, default=False) if result.is_sat else None)
+
+
+def _fault_result(fault: StuckAtFault, result,
+                  vector: Optional[Dict[str, Optional[bool]]]
+                  ) -> FaultResult:
+    """*fault*'s outcome from a solver *result*: DETECTED by *vector*,
+    REDUNDANT, or ABORTED for UNKNOWN -- which includes a certified
+    UNSAT demoted by a failed proof check (its diagnostic travels in
+    the certificate)."""
+    outcome = _OUTCOME.get(result.status, TestOutcome.ABORTED)
+    return FaultResult(
+        fault, outcome, vector if outcome is TestOutcome.DETECTED
+        else None, result.stats, getattr(result, "certificate", None))
 
 
 class ATPGEngine:
@@ -254,10 +253,7 @@ class ATPGEngine:
         if circuit.is_sequential():
             raise ValueError("combinational ATPG only")
         if certify and method == "circuit":
-            raise ValueError(
-                "certify=True needs a clausal proof; the structural "
-                "'circuit' method records none -- use 'cdcl' or "
-                "'portfolio'")
+            raise ValueError(_NO_CIRCUIT_PROOF)
         self.circuit = circuit
         self.method = method
         self.fault_dropping = fault_dropping
@@ -276,6 +272,15 @@ class ATPGEngine:
         if self.collapse:
             faults = collapse_equivalent(self.circuit, faults)
         return faults
+
+    def solve_fault(self, fault: StuckAtFault,
+                    budget: Optional[Budget] = None) -> FaultResult:
+        """Target one fault with this engine's settings
+        (:func:`solve_fault`)."""
+        return solve_fault(self.circuit, fault, self.method,
+                           self.max_conflicts, budget=budget,
+                           tracer=self.tracer, certify=self.certify,
+                           proof_dir=self.proof_dir)
 
     def run(self, faults: Optional[Sequence[StuckAtFault]] = None
             ) -> ATPGReport:
@@ -345,11 +350,7 @@ class ATPGEngine:
                 break
             fault_budget = meter.remaining_budget() \
                 if meter is not None else None
-            result = solve_fault(self.circuit, fault, self.method,
-                                 self.max_conflicts,
-                                 budget=fault_budget, tracer=tracer,
-                                 certify=self.certify,
-                                 proof_dir=self.proof_dir)
+            result = self.solve_fault(fault, fault_budget)
             report.results.append(result)
             if tracer is not None:
                 tracer.event("atpg.fault", node=fault.node,
@@ -362,10 +363,11 @@ class ATPGEngine:
             vector = self._complete_vector(result.vector)
             report.vectors.append(vector)
             if self.fault_dropping:
+                good = simulate(self.circuit, vector)
                 for other in remaining:
                     if other == fault or detected_early.get(other):
                         continue
-                    if self._detects(vector, other):
+                    if self._detects(vector, good, other):
                         detected_early[other] = True
         return report
 
@@ -377,15 +379,16 @@ class ATPGEngine:
                        else bool(value))
                 for name, value in cube.items()}
 
-    def _detects(self, vector: Dict[str, bool],
+    def _detects(self, vector: Dict[str, bool], good: Dict[str, bool],
                  fault: StuckAtFault) -> bool:
-        good = simulate(self.circuit, vector)
+        """Whether *vector*, whose fault-free node values are *good*,
+        detects *fault*."""
         bad = simulate(self.circuit, vector,
                        faults={fault.node: fault.value})
         return any(good[out] != bad[out] for out in self.circuit.outputs)
 
 
-class IncrementalATPG:
+class IncrementalATPG(ATPGEngine):
     """Iterative ATPG on a single persistent solver (Section 6, [25]).
 
     The good circuit is encoded once.  For each target fault only the
@@ -395,18 +398,19 @@ class IncrementalATPG:
     processing one fault remain valid -- they reference good-circuit
     and cone variables whose definitions never change -- so later
     faults start with a primed clause database.
+
+    :meth:`run` is :class:`ATPGEngine`'s, without fault dropping: every
+    fault in the list is targeted.
     """
 
     def __init__(self, circuit: Circuit,
                  max_conflicts_per_fault: Optional[int] = 20000,
                  budget: Optional[Budget] = None,
                  tracer=None):
-        circuit.validate()
-        if circuit.is_sequential():
-            raise ValueError("combinational ATPG only")
-        self.circuit = circuit
-        self.budget = budget
-        self.tracer = tracer
+        super().__init__(circuit, method="incremental",
+                         fault_dropping=False,
+                         max_conflicts=max_conflicts_per_fault,
+                         budget=budget, tracer=tracer)
         self.encoding = encode_circuit(circuit)
         self.solver = IncrementalSolver(
             self.encoding.formula,
@@ -415,109 +419,19 @@ class IncrementalATPG:
 
     def solve_fault(self, fault: StuckAtFault,
                     budget: Optional[Budget] = None) -> FaultResult:
-        """Target one fault through the shared solver."""
-        cone = sorted(self.circuit.transitive_fanout([fault.node]))
-        affected_outputs = [out for out in self.circuit.outputs
-                            if out in cone]
-        if not affected_outputs:
+        """Target one fault through the shared solver: its faulty cone
+        is added for good (:func:`encode_fault_cone`) and a fresh
+        ``diff`` variable, the OR of the output XORs, is the solve's
+        assumption."""
+        solver = self.solver
+        xors = encode_fault_cone(self.circuit, fault.node, fault.value,
+                                 self.encoding.var_of, solver.new_var,
+                                 solver.add_clause)
+        if not xors:
             return FaultResult(fault, TestOutcome.REDUNDANT)
-
-        # Fresh variables for the faulty copies of the cone nodes.
-        faulty_var: Dict[str, int] = {}
-        for name in cone:
-            faulty_var[name] = self.solver.new_var()
-
-        def fanin_literal(name: str) -> int:
-            if name in faulty_var:
-                return faulty_var[name]
-            return self.encoding.var_of[name]
-
-        # The fault site is stuck: a unit definition of its faulty var.
-        site_var = faulty_var[fault.node]
-        self.solver.add_clause([site_var if fault.value else -site_var])
-        from repro.circuits.gates import gate_cnf_clauses
-        for name in cone:
-            if name == fault.node:
-                continue
-            node = self.circuit.node(name)
-            inputs = [fanin_literal(f) for f in node.fanins]
-            for clause in gate_cnf_clauses(node.gate_type,
-                                           faulty_var[name], inputs):
-                self.solver.add_clause(clause)
-
-        # diff <-> OR of per-output XORs; assumed true for this query.
-        xor_vars = []
-        for out in affected_outputs:
-            good = self.encoding.var_of[out]
-            bad = faulty_var[out]
-            xvar = self.solver.new_var()
-            for clause in gate_cnf_clauses(GateType.XOR, xvar,
-                                           [good, bad]):
-                self.solver.add_clause(clause)
-            xor_vars.append(xvar)
-        diff = self.solver.new_var()
-        for clause in gate_cnf_clauses(GateType.OR, diff, xor_vars):
-            self.solver.add_clause(clause)
-
-        result = self.solver.solve(assumptions=[diff], budget=budget)
-        if result.is_sat:
-            vector = self.encoding.input_vector(result.assignment,
-                                                default=False)
-            return FaultResult(fault, TestOutcome.DETECTED, vector,
-                               result.stats)
-        if result.is_unsat:
-            return FaultResult(fault, TestOutcome.REDUNDANT,
-                               stats=result.stats)
-        return FaultResult(fault, TestOutcome.ABORTED, stats=result.stats)
-
-    def run(self, faults: Optional[Sequence[StuckAtFault]] = None
-            ) -> ATPGReport:
-        """Process the fault list through the shared solver.
-
-        Under a run-wide budget the report degrades gracefully:
-        unattempted faults are ABORTED, ``budget_exhausted`` is set.
-        """
-        tracer = self.tracer
-        if tracer is None:
-            return self._run(faults)
-        with tracer.span("atpg.run", method="incremental") as end:
-            report = self._run(faults)
-            end["faults"] = len(report.results)
-            end["detected"] = report.count(TestOutcome.DETECTED)
-            end["redundant"] = report.count(TestOutcome.REDUNDANT)
-            end["aborted"] = report.count(TestOutcome.ABORTED)
-            end["budget_exhausted"] = report.budget_exhausted
-            return report
-
-    def _run(self, faults: Optional[Sequence[StuckAtFault]] = None
-             ) -> ATPGReport:
-        tracer = self.tracer
-        report = ATPGReport()
-        meter = self.budget.meter() if self.budget is not None else None
-        targets = list(faults if faults is not None
-                       else full_fault_list(self.circuit))
-        for position, fault in enumerate(targets):
-            if meter is not None and meter.expired():
-                report.budget_exhausted = True
-                if tracer is not None:
-                    tracer.event("atpg.budget_exhausted",
-                                 attempted=position,
-                                 leftover=len(targets) - position)
-                report.results.extend(
-                    FaultResult(leftover, TestOutcome.ABORTED)
-                    for leftover in targets[position:])
-                break
-            fault_budget = meter.remaining_budget() \
-                if meter is not None else None
-            result = self.solve_fault(fault, budget=fault_budget)
-            report.results.append(result)
-            if tracer is not None:
-                tracer.event("atpg.fault", node=fault.node,
-                             stuck_at=bool(fault.value),
-                             outcome=result.outcome.value,
-                             conflicts=result.stats.conflicts,
-                             decisions=result.stats.decisions)
-            if result.outcome is TestOutcome.DETECTED:
-                report.vectors.append({k: bool(v)
-                                       for k, v in result.vector.items()})
-        return report
+        diff = solver.new_var()
+        for clause in gate_cnf_clauses(GateType.OR, diff, xors):
+            solver.add_clause(clause)
+        result = solver.solve(assumptions=[diff], budget=budget)
+        return _fault_result(fault, result, self.encoding.input_vector(
+            result.assignment, default=False) if result.is_sat else None)

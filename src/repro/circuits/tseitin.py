@@ -14,7 +14,7 @@ node variables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.cnf.assignment import Assignment
 from repro.cnf.formula import CNFFormula
@@ -82,15 +82,25 @@ def encode_circuit(circuit: Circuit,
     (the single-frame view used by combinational applications); BMC
     instead unrolls time frames itself.
     """
-    formula = formula if formula is not None else CNFFormula()
-    encoding = CircuitEncoding(circuit, formula)
+    encoding = CircuitEncoding(
+        circuit, formula if formula is not None else CNFFormula())
+    _encode_nodes(encoding, circuit.topological_order(), var_prefix,
+                  state_as_inputs)
+    return encoding
 
-    for name in circuit.topological_order():
+
+def _encode_nodes(encoding: CircuitEncoding, names: List[str],
+                  var_prefix: str = "",
+                  state_as_inputs: bool = True) -> None:
+    """Give each node of *names* (a topological order) a variable,
+    then add the gate clauses of each."""
+    circuit, formula = encoding.circuit, encoding.formula
+    for name in names:
         var = formula.new_var(var_prefix + name)
         encoding.var_of[name] = var
         encoding.node_of[var] = name
 
-    for name in circuit.topological_order():
+    for name in names:
         node = circuit.node(name)
         if node.gate_type is GateType.INPUT:
             continue
@@ -105,7 +115,6 @@ def encode_circuit(circuit: Circuit,
         for clause in gate_cnf_clauses(node.gate_type, output_lit,
                                        input_lits):
             formula.add_clause(clause)
-    return encoding
 
 
 def add_objective(encoding: CircuitEncoding,
@@ -188,6 +197,67 @@ def encode_miter(circuit_a: Circuit,
     """
     miter, _ = build_miter(circuit_a, circuit_b)
     return encode_with_objective(miter, {"miter_out": True})
+
+
+def encode_fault_cone(circuit: Circuit, site: str, value: bool,
+                      var_of: Dict[str, int], new_var: Callable[[], int],
+                      add_clause: Callable[[List[int]], object]
+                      ) -> List[int]:
+    """Encode the faulty copy of *site*'s fanout cone, *site* stuck at
+    *value*, reading fanins outside the cone from the fault-free
+    variables *var_of*.  Returns one XOR variable (good != faulty) per
+    output the fault reaches, in output order; a fault that reaches no
+    output encodes nothing.  Cone variables are allocated in sorted
+    name order before the first clause."""
+    reached = circuit.transitive_fanout([site])
+    outputs = [out for out in circuit.outputs if out in reached]
+    if not outputs:
+        return []
+    cone = sorted(reached)
+    faulty = {name: new_var() for name in cone}
+    add_clause([faulty[site] if value else -faulty[site]])
+    for name in cone:
+        node = circuit.node(name)
+        if name != site:
+            inputs = [faulty.get(f) or var_of[f] for f in node.fanins]
+            for clause in gate_cnf_clauses(node.gate_type, faulty[name],
+                                           inputs):
+                add_clause(clause)
+    xors = []
+    for out in outputs:
+        xors.append(new_var())
+        for clause in gate_cnf_clauses(GateType.XOR, xors[-1],
+                                       [var_of[out], faulty[out]]):
+            add_clause(clause)
+    return xors
+
+
+def encode_fault_miter(circuit: Circuit, site: str,
+                       value: bool) -> CircuitEncoding:
+    """Encode the ATPG miter of *site* stuck at *value* (Larrabee
+    [20]): satisfiable iff some input vector detects the fault.
+
+    Unlike :func:`encode_miter` over a faulty copy, only the fault's
+    fanout cone is duplicated (:func:`encode_fault_cone`).  Every
+    primary input and the fault-free transitive fanin of the cone
+    (which holds that of every output the fault reaches) are encoded
+    once, in topological order, and the OR of the output XORs is
+    asserted -- an empty clause when no output observes the fault.
+    """
+    if site not in circuit:
+        raise ValueError(f"unknown fault site {site!r}")
+    reached = circuit.transitive_fanout([site])
+    shared = (circuit.transitive_fanin(reached)
+              if any(out in reached for out in circuit.outputs) else ())
+    encoding = CircuitEncoding(circuit, CNFFormula())
+    _encode_nodes(encoding, [name for name in circuit.topological_order()
+                             if name in shared
+                             or circuit.node(name).is_input])
+    formula = encoding.formula
+    formula.add_clause(encode_fault_cone(
+        circuit, site, value, encoding.var_of, formula.new_var,
+        formula.add_clause))
+    return encoding
 
 
 def cone_encoding(circuit: Circuit, outputs: Iterable[str]

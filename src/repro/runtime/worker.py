@@ -117,10 +117,14 @@ def scripted_faults(plan, key: Key, attempt: int) -> Dict[str, Any]:
             "corrupt_checkpoints": plan.corrupts_checkpoint(key, attempt)}
 
 
-def worker_main(spec: WorkerSpec, heartbeat, channel) -> None:
+def worker_main(spec: WorkerSpec, heartbeat, channel,
+                parent: int) -> None:
     """Solve one *spec* in a supervised worker process, reporting over
     *channel* (this worker's private pipe end); the last payload of a
-    spec is its ``result``.
+    spec is its ``result``.  When *parent*, the supervisor's pid, is
+    no longer this process's parent, the process exits at the solve's
+    next checkpoint: an orphan would otherwise hold every socket the
+    supervisor had open until its solve ended.
 
     *heartbeat* is a shared ``multiprocessing.Value`` written from the
     solver's cooperative checkpoint, so a worker that stops
@@ -209,6 +213,8 @@ def worker_main(spec: WorkerSpec, heartbeat, channel) -> None:
             report(now)
         if dying:
             os._exit(_KILL_EXIT)
+        if os.getppid() != parent:
+            os._exit(0)
 
     solver.on_checkpoint = checkpoint
     result = solver.solve()
@@ -230,17 +236,19 @@ def worker_main(spec: WorkerSpec, heartbeat, channel) -> None:
                   result.stats.as_dict()))
 
 
-def worker_loop(inbox, heartbeat, channel) -> None:
+def worker_loop(inbox, heartbeat, channel, parent: int) -> None:
     """Entry point of a supervised worker process: run
     :func:`worker_main` on each :class:`WorkerSpec` that arrives on
     *inbox*, this worker's private spec pipe, reporting on *channel*.
+    *parent* is the supervisor's pid, taken before the fork: read in
+    the child, it could already be the pid of whatever adopted it.
 
     The process serves specs until one scripts a fault, until its
     supervisor terminates it, or until the supervisor process is gone
-    (checked while idle: inbox end-of-file cannot be relied on, since
-    workers forked later hold copies of the inbox's write end).
+    (checked while idle, and at each solver checkpoint while busy:
+    inbox end-of-file cannot be relied on, since workers forked later
+    hold copies of the inbox's write end).
     """
-    parent = os.getppid()
     while True:
         while not inbox.poll(_ORPHAN_CHECK):
             if os.getppid() != parent:
@@ -249,7 +257,7 @@ def worker_loop(inbox, heartbeat, channel) -> None:
             spec = inbox.recv()
         except EOFError:
             return
-        worker_main(spec, heartbeat, channel)
+        worker_main(spec, heartbeat, channel, parent)
         if spec.fault is not None:
             return
 
@@ -364,7 +372,8 @@ class WorkerHandle:
         self.ended: Optional[str] = None
         self._died_at: Optional[float] = None
         self.proc = ctx.Process(target=worker_loop,
-                                args=(reader, self.heartbeat, writer),
+                                args=(reader, self.heartbeat, writer,
+                                      os.getpid()),
                                 daemon=True)
         self.proc.start()
         # Keep only the worker's ends open in the worker.

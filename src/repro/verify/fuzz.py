@@ -3,10 +3,10 @@
 The certification stack (streamed proofs, independent checker, model
 audits) tells us when an answer is wrong; the fuzzer's job is to go
 *looking* for wrong answers before users do.  Each round draws a
-random instance -- uniform k-SAT near and off the phase transition, or
-a Tseitin-encoded random-circuit miter -- and cross-checks three
-algorithm families the paper treats as interchangeable decision
-procedures:
+random instance -- uniform k-SAT near and off the phase transition, a
+Tseitin-encoded random-circuit miter, or the cone-restricted ATPG
+miter of a random stem fault -- and cross-checks three algorithm
+families the paper treats as interchangeable decision procedures:
 
 * **CDCL** under a randomized configuration (heuristic, restarts,
   deletion policy, minimization, phase saving, budget) with a
@@ -15,12 +15,13 @@ procedures:
 * **recursive learning** as a preprocessor feeding a plain CDCL.
 
 Any two decisive verdicts must agree; every SAT model must satisfy
-the original formula; every CDCL UNSAT proof must check.  UNKNOWN
-(budget exhausted) never counts against an engine.  Periodically a
-round races a small *supervised portfolio* under a random
-:class:`~repro.runtime.faults.FaultPlan` with proof certification on,
-exercising the crash/garbage/false-UNSAT recovery paths against a
-known verdict.
+the original formula; every CDCL UNSAT proof must check; a fault
+miter's verdict must match the full miter of the circuit and its
+faulty copy.  UNKNOWN (budget exhausted) never counts against an
+engine.  Periodically a round races a small *supervised portfolio*
+under a random :class:`~repro.runtime.faults.FaultPlan` with proof
+certification on, exercising the crash/garbage/false-UNSAT recovery
+paths against a known verdict.
 
 When a round fails, the instance is **shrunk**: greedy ddmin over
 clauses (then a variable renumbering) while the failure predicate
@@ -205,8 +206,12 @@ def default_engines(rng: random.Random) -> List[Engine]:
 # ----------------------------------------------------------------------
 
 def random_instance(rng: random.Random, max_vars: int = 26
-                    ) -> Tuple[str, CNFFormula]:
-    """Draw one fuzz instance: ``(description, formula)``."""
+                    ) -> Tuple[str, CNFFormula, Optional[Status]]:
+    """Draw one fuzz instance: ``(description, formula, expected)``.
+
+    *expected* is the verdict a second encoding of the same question
+    gave, when the instance has one: a fault miter carries the verdict
+    of the full miter of the circuit and its faulty copy."""
     if rng.random() < 0.75:
         num_vars = rng.randint(5, max_vars)
         k = rng.choice([2, 3, 3, 4])
@@ -214,22 +219,33 @@ def random_instance(rng: random.Random, max_vars: int = 26
         num_clauses = max(1, round(ratio * num_vars))
         formula = random_ksat(num_vars, num_clauses, k=k,
                               seed=rng.randrange(1 << 30))
-        return (f"ksat(v={num_vars},c={num_clauses},k={k})", formula)
+        return (f"ksat(v={num_vars},c={num_clauses},k={k})", formula,
+                None)
     from repro.apps.equivalence import mutate_circuit
+    from repro.circuits.faults import full_fault_list, inject_fault
     from repro.circuits.generators import random_circuit
-    from repro.circuits.tseitin import encode_miter
+    from repro.circuits.tseitin import encode_fault_miter, encode_miter
+    from repro.solvers.cdcl import solve_cdcl
 
     circuit = random_circuit(num_inputs=rng.randint(3, 5),
                              num_gates=rng.randint(4, 14),
                              seed=rng.randrange(1 << 30))
-    if rng.random() < 0.5:
+    roll = rng.random()
+    if roll < 1 / 3:
         other = circuit                     # self-miter: UNSAT
         kind = "self"
-    else:
+    elif roll < 2 / 3:
         other = mutate_circuit(circuit, seed=rng.randrange(1 << 30))
         kind = "mutant"
+    else:
+        fault = rng.choice(full_fault_list(circuit))
+        formula = encode_fault_miter(circuit, fault.node,
+                                     fault.value).formula
+        full = encode_miter(circuit, inject_fault(circuit, fault))
+        return (f"fault-miter({fault},v={formula.num_vars})", formula,
+                solve_cdcl(full.formula).status)
     formula = encode_miter(circuit, other).formula
-    return (f"miter({kind},v={formula.num_vars})", formula)
+    return (f"miter({kind},v={formula.num_vars})", formula, None)
 
 
 # ----------------------------------------------------------------------
@@ -460,7 +476,8 @@ def run_fuzz(iterations: int, seed: int = 0,
     for i in range(iterations):
         spec_seed = seed * 1_000_003 + i
         rng = random.Random(spec_seed)
-        instance, formula = random_instance(rng, max_vars=max_vars)
+        instance, formula, expected = random_instance(rng,
+                                                      max_vars=max_vars)
         engines = make_engines(rng)
         failure = differential_failure(formula, engines)
         report.iterations += 1
@@ -472,6 +489,11 @@ def run_fuzz(iterations: int, seed: int = 0,
                 report.proofs_checked += 1
         if failure is None:
             consensus = _consensus(formula, engines, report, statuses)
+            if expected is not None and consensus not in (None,
+                                                          expected):
+                failure = ("disagreement",
+                           f"engines={consensus.value} vs the second "
+                           f"encoding's {expected.value}", [])
             if (portfolio_every > 0
                     and (i + 1) % portfolio_every == 0):
                 report.portfolio_rounds += 1

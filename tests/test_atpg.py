@@ -1,6 +1,13 @@
 """Unit tests for repro.apps.atpg (Section 3)."""
 
+import hashlib
+import os
+import random
+import subprocess
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.atpg import (
     ATPGEngine,
@@ -10,9 +17,33 @@ from repro.apps.atpg import (
     TestOutcome,
     solve_fault,
 )
-from repro.circuits.faults import StuckAtFault, detects, full_fault_list
+from repro.circuits.faults import (
+    StuckAtFault,
+    detects,
+    full_fault_list,
+    inject_fault,
+)
+from repro.circuits.gates import GateType
 from repro.circuits.library import c17, half_adder, redundant_or_chain
-from repro.circuits.generators import ripple_carry_adder
+from repro.circuits.generators import (
+    alu,
+    array_multiplier,
+    random_circuit,
+    ripple_carry_adder,
+)
+from repro.circuits.netlist import Circuit
+from repro.circuits.tseitin import encode_fault_miter, encode_miter
+from repro.solvers.cdcl import CDCLSolver
+
+
+def dead_logic_circuit() -> Circuit:
+    """One observed buffer and one gate ``dead`` that feeds no output."""
+    circuit = Circuit()
+    circuit.add_input("a")
+    circuit.add_gate("dead", GateType.NOT, ["a"])
+    circuit.add_gate("y", GateType.BUFFER, ["a"])
+    circuit.set_output("y")
+    return circuit
 
 
 class TestSolveFault:
@@ -128,14 +159,7 @@ class TestIncrementalATPG:
 
     def test_structurally_undetectable(self):
         # A gate feeding no output: fanout cone has no outputs.
-        from repro.circuits.netlist import Circuit
-        from repro.circuits.gates import GateType
-        circuit = Circuit()
-        circuit.add_input("a")
-        circuit.add_gate("dead", GateType.NOT, ["a"])
-        circuit.add_gate("y", GateType.BUFFER, ["a"])
-        circuit.set_output("y")
-        engine = IncrementalATPG(circuit)
+        engine = IncrementalATPG(dead_logic_circuit())
         result = engine.solve_fault(StuckAtFault("dead", True))
         assert result.outcome is TestOutcome.REDUNDANT
 
@@ -148,3 +172,185 @@ class TestIncrementalATPG:
         report = IncrementalATPG(circuit).run()
         assert report.fault_coverage == 1.0
         assert report.count(TestOutcome.ABORTED) == 0
+
+    def test_clause_stream_unchanged(self):
+        """Every variable and clause the engine hands its solver over
+        ripple_carry_adder(3)'s full fault list, against a digest of
+        the stream the inline cone encoder produced: sorted cone
+        names, their variables before any clause, then the XOR and
+        OR ``diff`` gates."""
+        circuit = ripple_carry_adder(3)
+        engine = IncrementalATPG(circuit)
+        solver = engine.solver
+        new_var, add_clause = solver.new_var, solver.add_clause
+        log = []
+
+        def recording_new_var():
+            var = new_var()
+            log.append(f"v {var}")
+            return var
+
+        def recording_add_clause(literals):
+            literals = list(literals)
+            log.append("c " + " ".join(map(str, literals)))
+            add_clause(literals)
+
+        solver.new_var = recording_new_var
+        solver.add_clause = recording_add_clause
+        for fault in full_fault_list(circuit):
+            engine.solve_fault(fault)
+        digest = hashlib.sha256("\n".join(log).encode()).hexdigest()
+        assert len(log) == 2128
+        assert digest == ("47b352f837c94cec2b4b6129851e185e"
+                          "7c30e43f6e6bbebd8d248bedee32757b")
+
+
+def full_miter_outcome(circuit: Circuit, fault: StuckAtFault
+                       ) -> TestOutcome:
+    """The oracle: the full miter of the circuit and its faulty copy."""
+    formula = encode_miter(circuit, inject_fault(circuit, fault)).formula
+    result = CDCLSolver(formula).solve()
+    assert not result.is_unknown
+    return TestOutcome.DETECTED if result.is_sat else TestOutcome.REDUNDANT
+
+
+def assert_agrees_with_full_miter(circuit: Circuit) -> None:
+    for fault in full_fault_list(circuit):
+        result = solve_fault(circuit, fault)
+        assert result.outcome is full_miter_outcome(circuit, fault), fault
+        if result.outcome is TestOutcome.DETECTED:
+            assert detects(circuit, fault, result.vector), fault
+
+
+class TestConeRestrictedMiter:
+    @pytest.mark.parametrize("factory", [
+        c17, redundant_or_chain, dead_logic_circuit,
+        lambda: ripple_carry_adder(3), lambda: alu(3),
+        lambda: array_multiplier(2)],
+        ids=["c17", "redundant_or_chain", "dead_logic", "rca3", "alu3",
+             "mul2"])
+    def test_agrees_with_full_miter(self, factory):
+        assert_agrees_with_full_miter(factory())
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 1 << 20), st.integers(2, 5),
+           st.integers(1, 14))
+    def test_agrees_with_full_miter_on_random_circuits(
+            self, seed, num_inputs, num_gates):
+        assert_agrees_with_full_miter(
+            random_circuit(num_inputs, num_gates, seed=seed))
+
+    def test_only_the_cone_is_copied(self):
+        # G22 is an output that feeds nothing: the faulty copy is one
+        # constant variable, plus one XOR.
+        circuit = c17()
+        shared = circuit.transitive_fanin(["G22"]) | set(circuit.inputs)
+        encoding = encode_fault_miter(circuit, "G22", True)
+        assert encoding.formula.num_vars == len(shared) + 2
+        assert set(encoding.var_of) == shared
+
+    def test_unobservable_fault_is_an_empty_clause(self):
+        encoding = encode_fault_miter(dead_logic_circuit(), "dead", True)
+        assert [list(c) for c in encoding.formula.clauses] == [[]]
+
+    def test_unknown_fault_site_rejected(self):
+        with pytest.raises(ValueError):
+            solve_fault(c17(), StuckAtFault("nope", True))
+
+    def test_unobservable_fault_certified(self):
+        result = solve_fault(dead_logic_circuit(),
+                             StuckAtFault("dead", True), certify=True)
+        assert result.outcome is TestOutcome.REDUNDANT
+        assert result.certificate is not None
+        assert result.certificate.kind == "proof"
+        assert result.certificate.valid
+
+    def test_unobservable_fault_through_portfolio(self):
+        result = solve_fault(dead_logic_circuit(),
+                             StuckAtFault("dead", True),
+                             method="portfolio")
+        assert result.outcome is TestOutcome.REDUNDANT
+
+    def test_encoding_independent_of_hash_seed(self):
+        import repro
+
+        script = (
+            "import hashlib\n"
+            "from repro.circuits.faults import full_fault_list\n"
+            "from repro.circuits.generators import alu\n"
+            "from repro.circuits.tseitin import encode_fault_miter\n"
+            "circuit = alu(3)\n"
+            "digest = hashlib.sha256()\n"
+            "for fault in full_fault_list(circuit):\n"
+            "    formula = encode_fault_miter(circuit, fault.node,\n"
+            "                                 fault.value).formula\n"
+            "    for clause in formula.clauses:\n"
+            "        digest.update(repr(list(clause)).encode())\n"
+            "print(digest.hexdigest())\n")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        digests = set()
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=src,
+                       PYTHONHASHSEED=hash_seed)
+            digests.add(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True, timeout=120).stdout)
+        assert len(digests) == 1
+
+    def test_fuzzer_cross_checks_fault_miters(self):
+        from repro.solvers.cdcl import solve_cdcl
+        from repro.verify.fuzz import random_instance
+
+        rng = random.Random(3)
+        fault_miters = 0
+        while fault_miters < 5:
+            name, formula, expected = random_instance(rng)
+            if name.startswith("fault-miter"):
+                fault_miters += 1
+                assert solve_cdcl(formula).status is expected, name
+
+    def test_fuzzer_catches_a_wrong_fault_miter(self, monkeypatch):
+        import repro.circuits.tseitin as tseitin
+        from repro.verify.fuzz import CDCLEngine, run_fuzz
+
+        right = tseitin.encode_fault_miter
+
+        def empty_or(circuit, site, value):
+            # As if the OR were built from an already consumed
+            # iterator: every fault comes out redundant.
+            encoding = right(circuit, site, value)
+            encoding.formula.clauses.pop()
+            encoding.formula.add_clause([])
+            return encoding
+
+        monkeypatch.setattr(tseitin, "encode_fault_miter", empty_or)
+        report = run_fuzz(iterations=40, seed=4, shrink=False,
+                          engines_factory=lambda rng: [CDCLEngine("cdcl")])
+        assert any(failure.instance.startswith("fault-miter")
+                   for failure in report.failures)
+
+
+class NaiveDroppingEngine(ATPGEngine):
+    """Fault dropping that re-simulates the fault-free circuit for
+    every remaining fault."""
+
+    def _detects(self, vector, good, fault):
+        return detects(self.circuit, fault, vector)
+
+
+class TestFaultDropping:
+    @pytest.mark.parametrize("factory", [c17,
+                                         lambda: ripple_carry_adder(4)],
+                             ids=["c17", "rca4"])
+    def test_one_good_simulation_per_vector(self, factory):
+        fast = ATPGEngine(factory()).run()
+        naive = NaiveDroppingEngine(factory()).run()
+        assert ([(r.fault, r.outcome) for r in fast.results]
+                == [(r.fault, r.outcome) for r in naive.results])
+        assert fast.vectors == naive.vectors
+        dropped = {r.fault for r in fast.results
+                   if r.outcome is TestOutcome.DETECTED_BY_SIMULATION}
+        assert dropped == {
+            r.fault for r in naive.results
+            if r.outcome is TestOutcome.DETECTED_BY_SIMULATION}
+        assert dropped

@@ -353,7 +353,8 @@ class TestWorkerPool:
         # An orphan keeps every socket its supervisor had open, so a
         # restarted server could not bind the same port.  Inbox
         # end-of-file does not end the idle worker here: the busy
-        # worker forked after it holds its inbox's write end.
+        # worker forked after it holds its inbox's write end.  Both
+        # orphans, idle and busy, must exit.
         import repro
 
         script = (
@@ -395,9 +396,13 @@ class TestWorkerPool:
                 return False
 
         try:
+            # The busy orphan would solve pigeonhole(11) for minutes;
+            # it must stop at a solver checkpoint instead.
             deadline = time.monotonic() + 5.0
-            while alive(idle):
-                assert time.monotonic() < deadline, "idle orphan lives"
+            while alive(idle) or alive(busy):
+                assert time.monotonic() < deadline, (
+                    "idle orphan lives" if alive(idle)
+                    else "busy orphan lives")
                 time.sleep(0.02)
         finally:
             for pid in (idle, busy):

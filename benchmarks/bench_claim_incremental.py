@@ -6,11 +6,13 @@ instance per fault, all sharing the good-circuit logic.  Compares a
 fresh solver per fault (on the cone-restricted miter, which copies
 only the fault's fanout cone) against the persistent incremental
 engine (clauses learned on earlier faults prune later ones).
-Expected shape: identical outcomes and fewer total conflicts for the
-incremental engine (66 vs ~150 on rca4).  It is no longer faster:
-each incremental call also assigns every earlier fault's cone
-variables, so its wall time exceeds the fresh path's (EXPERIMENTS.md,
-C8).
+Expected shape: identical outcomes, fewer total conflicts for the
+incremental engine (117 vs 150 on rca4) and about the fresh path's
+CPU time.  Each fault's cone is guarded by an activation literal and
+retired after its call, so a call carries only the good circuit and
+its own cone; the clauses learned from a retired cone leave with it,
+which is why rca4 needs more conflicts than the 66 of an engine that
+kept every cone (EXPERIMENTS.md, C8).
 """
 
 import time

@@ -38,7 +38,6 @@ from repro.circuits.faults import (
     full_fault_list,
     inject_fault,
 )
-from repro.circuits.gates import GateType, gate_cnf_clauses
 from repro.circuits.netlist import Circuit
 from repro.circuits.simulate import simulate
 from repro.circuits.tseitin import (
@@ -391,13 +390,18 @@ class ATPGEngine:
 class IncrementalATPG(ATPGEngine):
     """Iterative ATPG on a single persistent solver (Section 6, [25]).
 
-    The good circuit is encoded once.  For each target fault only the
-    faulty *fanout cone* is encoded (with fresh variables); a per-fault
-    difference literal is constrained equal to the OR of the output
-    XORs and passed as the solve assumption.  Clauses recorded while
-    processing one fault remain valid -- they reference good-circuit
-    and cone variables whose definitions never change -- so later
-    faults start with a primed clause database.
+    The good circuit is encoded once.  Each target fault gets a fresh
+    activation variable ``act``, and its faulty *fanout cone*
+    (:func:`encode_fault_cone`) is encoded with ``-act`` added to every
+    clause: the cone, the output XORs and their OR ``[-act, *xors]``.
+    The solve assumes ``act``; afterwards the solver retires it
+    (:meth:`IncrementalSolver.retire`), which drops the cone's clauses
+    and every clause learned from them.  The cone's variables then go
+    back to a pool that later cones draw from, so the solver holds the
+    good circuit, the largest cone and one spent activation variable
+    per fault.  Clauses learned over good-circuit variables alone stay
+    valid and survive, so later faults start with a primed clause
+    database.
 
     :meth:`run` is :class:`ATPGEngine`'s, without fault dropping: every
     fault in the list is targeted.
@@ -416,22 +420,47 @@ class IncrementalATPG(ATPGEngine):
             self.encoding.formula,
             max_conflicts_per_call=max_conflicts_per_fault)
         self.solver.tracer = tracer
+        #: Every cone variable allocated so far, in allocation order.
+        #: A fault's cone takes them from the front and allocates more
+        #: only when they run out.
+        self.pool: List[int] = []
 
     def solve_fault(self, fault: StuckAtFault,
                     budget: Optional[Budget] = None) -> FaultResult:
         """Target one fault through the shared solver: its faulty cone
-        is added for good (:func:`encode_fault_cone`) and a fresh
-        ``diff`` variable, the OR of the output XORs, is the solve's
-        assumption."""
+        is encoded on pooled variables under a fresh activation
+        literal, which is the solve's assumption and is retired
+        afterwards, whatever the outcome."""
         solver = self.solver
-        xors = encode_fault_cone(self.circuit, fault.node, fault.value,
-                                 self.encoding.var_of, solver.new_var,
-                                 solver.add_clause)
-        if not xors:
-            return FaultResult(fault, TestOutcome.REDUNDANT)
-        diff = solver.new_var()
-        for clause in gate_cnf_clauses(GateType.OR, diff, xors):
-            solver.add_clause(clause)
-        result = solver.solve(assumptions=[diff], budget=budget)
+        pool = self.pool
+        act = solver.new_var()
+        taken = 0
+
+        def new_var() -> int:
+            nonlocal taken
+            if taken == len(pool):
+                pool.append(solver.new_var())
+            taken += 1
+            return pool[taken - 1]
+
+        def add_clause(literals) -> None:
+            solver.add_clause(_guarded(act, literals))
+
+        try:
+            xors = encode_fault_cone(self.circuit, fault.node,
+                                     fault.value, self.encoding.var_of,
+                                     new_var, add_clause)
+            if not xors:
+                return FaultResult(fault, TestOutcome.REDUNDANT)
+            add_clause(xors)
+            result = solver.solve(assumptions=[act], budget=budget)
+        finally:
+            solver.retire(act)
         return _fault_result(fault, result, self.encoding.input_vector(
             result.assignment, default=False) if result.is_sat else None)
+
+
+def _guarded(act: int, literals: Sequence[int]) -> List[int]:
+    """*literals* as a clause that holds only while *act* is assumed:
+    retiring *act* satisfies it."""
+    return [-act, *literals]

@@ -263,7 +263,38 @@ class CDCLSolver:
         if len(lits) == 1:
             self._pending_units.append(lits[0])
             return
+        if self._trail:
+            self._watch_around_root(lits)
         self._attach(self.arena.add(lits, learned=False), learned=False)
+
+    def _watch_around_root(self, lits: List[int]) -> None:
+        """Reorder *lits*, a clause added between solve calls, so that
+        no watch sits on a literal the root assignment already made
+        false: propagation has passed that literal and would never
+        visit the clause through it.  A clause with a root-true
+        literal is satisfied for good and keeps its order, as does one
+        whose watches are both open.  With one open literal left the
+        clause is a root unit; with none it refutes the formula."""
+        values = self._values
+
+        def value(lit: int) -> Optional[bool]:
+            var_value = values[lit if lit > 0 else -lit]
+            return None if var_value is None else var_value == (lit > 0)
+
+        if value(lits[0]) is not False and value(lits[1]) is not False:
+            return
+        if any(value(lit) for lit in lits):
+            return
+        open_lits = [lit for lit in lits if value(lit) is None]
+        if not open_lits:
+            self._root_conflict = True
+            return
+        if len(open_lits) == 1:
+            self._pending_units.append(open_lits[0])
+            if self.proof is not None:
+                self.proof.add((open_lits[0],))
+        watched = open_lits[:2]
+        lits[:] = watched + [lit for lit in lits if lit not in watched]
 
     def _attach(self, cid: int, learned: bool) -> None:
         """Register arena clause *cid* with the watch machinery (a
@@ -290,11 +321,13 @@ class CDCLSolver:
 
         Only legal at decision level 0; raises otherwise.  The clause
         is appended to the arena and, like every original clause,
-        survives all later GC compactions.
+        survives the deletion policy's GC compactions.  A
+        :class:`Clause` is taken as already normalized.
         """
         if self._trail_lim:
             raise RuntimeError("add_clause only allowed at level 0")
-        clause = Clause(literals)
+        clause = literals if isinstance(literals, Clause) \
+            else Clause(literals)
         if self._inprocessor is not None:
             self._inprocessor.check_literals(list(clause), "added clauses")
         for lit in clause:
@@ -813,6 +846,38 @@ class CDCLSolver:
             self.stats.arena_peak_lits = arena.peak_lits
         return reclaimed
 
+    def drop_root_satisfied(self) -> Optional[Set[int]]:
+        """Assert the pending unit clauses at decision level 0,
+        propagate them, and drop every clause, original or learned,
+        that the root assignment satisfies (one collection through
+        :meth:`_drop_clauses`).
+
+        Returns the root-true literals, or ``None`` when the root
+        propagation refutes the formula (later solves then answer
+        UNSATISFIABLE).  Only legal between solve calls.
+        """
+        if self._trail_lim:
+            raise RuntimeError("drop_root_satisfied only allowed at "
+                               "level 0")
+        if self._root_conflict:
+            return None
+        for lit in self._pending_units:
+            if not self._enqueue(lit, None):
+                self._root_conflict = True
+                return None
+        if self._propagate() is not None:
+            self._root_conflict = True
+            return None
+        true = set(self._trail)
+        arena = self.arena
+        alits = arena.lits
+        aoff = arena.off
+        aend = arena.end
+        self._drop_clauses({
+            cid for cid in range(len(aoff))
+            if not true.isdisjoint(alits[aoff[cid]:aend[cid]])})
+        return true
+
     def _reduce_learned(self) -> None:
         """Apply the configured deletion policy (paper properties 2-3)
         as a compacting collection.
@@ -968,6 +1033,10 @@ class CDCLSolver:
             self._inprocessor = Inprocessor(self, self.inprocess_config)
         if self._inprocessor is not None:
             self._inprocessor.check_literals(assumptions, "assumptions")
+        # An assumption may name a variable that no clause mentions.
+        top = max(map(abs, assumptions), default=0)
+        if top > self._num_vars:
+            self._grow_to(top)
         self.heuristic.setup(self.formula)
         if self._resume_from is not None:
             checkpoint, self._resume_from = self._resume_from, None

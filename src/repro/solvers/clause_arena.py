@@ -134,16 +134,21 @@ class ClauseArena:
         old_activity = self.activity
         old_lbd = self.lbd
 
-        new_lits: List[int] = []
-        new_off: List[int] = []
-        new_end: List[int] = []
-        new_learned: List[bool] = []
-        new_activity: List[float] = []
-        new_lbd: List[int] = []
-        remap: List[int] = [-1] * len(old_off)
+        # Clauses before the first dropped one keep their ids and
+        # their place in the (gap-free) buffer: copy them wholesale.
+        first = min(drop, default=len(old_off))
+        new_lits: List[int] = old_lits[:old_off[first]] \
+            if first < len(old_off) else list(old_lits)
+        new_off: List[int] = old_off[:first]
+        new_end: List[int] = old_end[:first]
+        new_learned: List[bool] = old_learned[:first]
+        new_activity: List[float] = old_activity[:first]
+        new_lbd: List[int] = old_lbd[:first]
+        remap: List[int] = list(range(first))
+        remap.extend([-1] * (len(old_off) - first))
 
-        next_id = 0
-        for cid in range(len(old_off)):
+        next_id = first
+        for cid in range(first, len(old_off)):
             if cid in drop:
                 continue
             remap[cid] = next_id

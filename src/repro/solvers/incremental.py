@@ -8,10 +8,15 @@ algorithms [25] or the incremental formulation of problem instances
 :class:`IncrementalSolver` keeps one CDCL engine alive across a
 sequence of related queries:
 
-* clauses may be *added* between calls (the formula grows
-  monotonically -- the incremental formulation of [18]);
+* clauses may be *added* between calls (the incremental formulation
+  of [18]);
 * per-query constraints are passed as *assumptions*, so they can be
   retracted without invalidating anything;
+* a group of per-query clauses guarded by an *activation literal*
+  (each clause carries its negation, the query assumes it) can be
+  *retired* afterwards: the literal is fixed false and every clause it
+  satisfies, added or learned, leaves the engine
+  (:meth:`IncrementalSolver.retire`);
 * recorded conflict clauses persist across calls, which is where the
   iterative speedup of [25] comes from (experiment C8 measures it).
 """
@@ -78,10 +83,10 @@ class IncrementalSolver:
         return self._formula.new_var()
 
     def add_clause(self, literals: Iterable[int]) -> None:
-        """Add a permanent clause (monotonic growth)."""
-        lits = list(literals)
-        self._formula.add_clause(lits)
-        self._solver.add_clause(lits)
+        """Add a clause; it stays until a :meth:`retire` satisfies
+        it.  The clause is normalized once and the engine takes the
+        formula's stored copy."""
+        self._solver.add_clause(self._formula.add_clause(literals))
 
     def add_clauses(self, clauses: Iterable) -> None:
         """Add several permanent clauses."""
@@ -108,6 +113,36 @@ class IncrementalSolver:
         self.total_stats.merge(delta)
         return SolverResult(result.status, result.assignment, delta)
 
+    def retire(self, lit: int) -> None:
+        """Fix *lit* false for good and drop every clause that the
+        root assignment then satisfies: added and learned clauses from
+        the engine (through its compacting collection), added ones
+        from the formula copy that the decision heuristic scans each
+        call.
+
+        Meant for activation literals: *lit* occurs in no clause, each
+        clause of a per-query group carries ``-lit``, and the query
+        assumes *lit*.  Then retiring removes every clause that can
+        mention the group's other variables, which may be reused by
+        later clauses.  A learned clause derived from a guarded clause
+        carries ``-lit`` as well: *lit* is only ever an assumption
+        decision, it has no reason clause, so resolution never removes
+        it (and minimization keeps decision literals).  Once ``-lit``
+        is a root fact, all those clauses are satisfied and go too.
+        The deletions and root propagations count in
+        :attr:`total_stats`.
+        """
+        before = _snapshot(self._solver.stats)
+        self._solver.add_clause([-lit])
+        true = self._solver.drop_root_satisfied()
+        if true is not None:
+            clauses = self._formula.clauses
+            clauses[:] = [clause for clause in clauses
+                          if true.isdisjoint(clause.literals)]
+        delta = _delta(before, self._solver.stats)
+        delta.metrics = None        # search shape belongs to solve calls
+        self.total_stats.merge(delta)
+
     def learned_clause_count(self) -> int:
         """Recorded clauses currently retained by the engine."""
         return len(self._solver.learned_clauses())
@@ -116,7 +151,8 @@ class IncrementalSolver:
         """The engine's clause-arena memory snapshot (clauses,
         live/peak buffer ints, fill ratio, GC counters).  Occupancy is
         cumulative across calls: added clauses and surviving learned
-        clauses stay in the arena through every GC compaction."""
+        clauses stay in the arena until a :meth:`retire` satisfies
+        them."""
         return self._solver.arena_occupancy()
 
     @property

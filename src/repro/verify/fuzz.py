@@ -18,7 +18,13 @@ Any two decisive verdicts must agree; every SAT model must satisfy
 the original formula; every CDCL UNSAT proof must check; a fault
 miter's verdict must match the full miter of the circuit and its
 faulty copy.  UNKNOWN (budget exhausted) never counts against an
-engine.  Periodically a round races a small *supervised portfolio*
+engine.  Every fourth round also drives a random circuit's random
+fault sequence (repeats allowed) through one persistent
+:class:`~repro.apps.atpg.IncrementalATPG`, whose outcomes must match
+a fresh ``solve_fault`` fault by fault -- the incremental engine
+retires each fault's cone and reuses its variables, so a cone that
+outlives its fault shows up as a wrong later outcome.  Periodically a
+round races a small *supervised portfolio*
 under a random :class:`~repro.runtime.faults.FaultPlan` with proof
 certification on, exercising the crash/garbage/false-UNSAT recovery
 paths against a known verdict.
@@ -248,6 +254,51 @@ def random_instance(rng: random.Random, max_vars: int = 26
     return (f"miter({kind},v={formula.num_vars})", formula, None)
 
 
+#: Every this-many rounds, :func:`run_fuzz` adds an incremental ATPG
+#: round (:func:`incremental_atpg_failure`).
+ATPG_EVERY = 4
+
+
+def incremental_atpg_failure(rng: random.Random
+                             ) -> Tuple[str, Optional[str]]:
+    """Run a random fault sequence of a random circuit through one
+    :class:`~repro.apps.atpg.IncrementalATPG` and cross-check each
+    outcome against a fresh ``solve_fault``; every DETECTED vector
+    must also detect its fault in simulation.
+
+    Returns ``(description, detail)``: *detail* names the first
+    mismatch, or is None when every outcome agrees.
+    """
+    from repro.apps.atpg import IncrementalATPG, TestOutcome, solve_fault
+    from repro.circuits.faults import detects, full_fault_list
+    from repro.circuits.generators import random_circuit
+
+    num_inputs = rng.randint(3, 5)
+    num_gates = rng.randint(4, 14)
+    circuit_seed = rng.randrange(1 << 30)
+    circuit = random_circuit(num_inputs, num_gates, seed=circuit_seed)
+    faults = full_fault_list(circuit)
+    sequence = [rng.choice(faults)
+                for _ in range(rng.randint(1, 2 * len(faults)))]
+    name = (f"incremental-atpg(random_circuit({num_inputs},{num_gates},"
+            f"seed={circuit_seed}),faults={len(sequence)})")
+    engine = IncrementalATPG(circuit)
+    fresh = {}
+    for index, fault in enumerate(sequence):
+        got = engine.solve_fault(fault)
+        if fault not in fresh:
+            fresh[fault] = solve_fault(circuit, fault).outcome
+        if got.outcome is not fresh[fault]:
+            return name, (f"fault #{index} {fault}: incremental "
+                          f"{got.outcome.name}, fresh "
+                          f"{fresh[fault].name}")
+        if (got.outcome is TestOutcome.DETECTED
+                and not detects(circuit, fault, got.vector)):
+            return name, (f"fault #{index} {fault}: incremental vector "
+                          f"does not detect the fault")
+    return name, None
+
+
 # ----------------------------------------------------------------------
 # Differential check
 # ----------------------------------------------------------------------
@@ -380,6 +431,7 @@ class FuzzReport:
     unknown: int = 0
     proofs_checked: int = 0
     portfolio_rounds: int = 0
+    atpg_rounds: int = 0
     failures: List[Discrepancy] = field(default_factory=list)
     out_dir: Optional[str] = None
 
@@ -392,6 +444,7 @@ class FuzzReport:
                 f"{self.unsat} UNSAT / {self.unknown} UNKNOWN, "
                 f"{self.proofs_checked} proofs checked, "
                 f"{self.portfolio_rounds} portfolio rounds, "
+                f"{self.atpg_rounds} incremental ATPG rounds, "
                 f"{len(self.failures)} failure(s)")
 
 
@@ -465,7 +518,10 @@ def run_fuzz(iterations: int, seed: int = 0,
     :class:`FuzzReport` (``report.ok`` == no failures).
 
     Every round is seeded as ``seed * 1_000_003 + i``, so a failing
-    round reproduces standalone.  ``portfolio_every > 0`` inserts a
+    round reproduces standalone.  Every :data:`ATPG_EVERY`-th round
+    adds an incremental ATPG round on its own generator (seeded from
+    the round's seed); its failures are recorded unshrunk, without a
+    reproducer file.  ``portfolio_every > 0`` inserts a
     supervised certified portfolio race (with a random fault plan)
     every that-many rounds.  ``engines_factory`` overrides the engine
     panel -- the mutation test injects a deliberately buggy engine
@@ -519,6 +575,15 @@ def run_fuzz(iterations: int, seed: int = 0,
             if out_dir is not None:
                 _write_reproducer(out_dir, record, shrunk)
             report.failures.append(record)
+
+        if (i + 1) % ATPG_EVERY == 0:
+            report.atpg_rounds += 1
+            atpg_name, detail = incremental_atpg_failure(
+                random.Random(f"incremental-atpg-{spec_seed}"))
+            if detail is not None:
+                report.failures.append(Discrepancy(
+                    kind="disagreement", detail=detail,
+                    instance=atpg_name, seed=spec_seed))
 
         if on_progress is not None:
             on_progress(i + 1, report)

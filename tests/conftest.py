@@ -52,6 +52,14 @@ def assert_model_satisfies(formula: CNFFormula, assignment) -> None:
             f"clause {clause} falsified by model"
 
 
+def live_clauses(solver):
+    """Every clause an :class:`~repro.solvers.incremental.IncrementalSolver`
+    still holds: its engine's arena clauses, then its formula copy."""
+    engine = solver._solver
+    return ([engine.arena.lits_of(cid) for cid in engine.clause_ids()]
+            + [list(clause) for clause in solver._formula.clauses])
+
+
 @pytest.fixture
 def tiny_sat_formula():
     """(a + b)(a' + b)(b' + c): satisfiable, forces b."""

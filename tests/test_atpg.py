@@ -35,6 +35,8 @@ from repro.circuits.netlist import Circuit
 from repro.circuits.tseitin import encode_fault_miter, encode_miter
 from repro.solvers.cdcl import CDCLSolver
 
+from conftest import live_clauses
+
 
 def dead_logic_circuit() -> Circuit:
     """One observed buffer and one gate ``dead`` that feeds no output."""
@@ -173,16 +175,19 @@ class TestIncrementalATPG:
         assert report.fault_coverage == 1.0
         assert report.count(TestOutcome.ABORTED) == 0
 
-    def test_clause_stream_unchanged(self):
-        """Every variable and clause the engine hands its solver over
-        ripple_carry_adder(3)'s full fault list, against a digest of
-        the stream the inline cone encoder produced: sorted cone
-        names, their variables before any clause, then the XOR and
-        OR ``diff`` gates."""
+    def test_guarded_pooled_clause_stream(self):
+        """Every variable, clause and retirement the engine hands its
+        solver over ripple_carry_adder(3)'s full fault list, against a
+        digest of the guarded, pooled stream: a fresh activation
+        variable per fault, cone variables from the pool (new ones
+        only when it runs out) in sorted cone-name order before any
+        clause, ``-act`` on every cone, XOR and OR clause, then the
+        activation variable retired."""
         circuit = ripple_carry_adder(3)
         engine = IncrementalATPG(circuit)
         solver = engine.solver
         new_var, add_clause = solver.new_var, solver.add_clause
+        retire = solver.retire
         log = []
 
         def recording_new_var():
@@ -195,14 +200,127 @@ class TestIncrementalATPG:
             log.append("c " + " ".join(map(str, literals)))
             add_clause(literals)
 
+        def recording_retire(lit):
+            log.append(f"r {lit}")
+            retire(lit)
+
         solver.new_var = recording_new_var
         solver.add_clause = recording_add_clause
+        solver.retire = recording_retire
         for fault in full_fault_list(circuit):
             engine.solve_fault(fault)
         digest = hashlib.sha256("\n".join(log).encode()).hexdigest()
-        assert len(log) == 2128
-        assert digest == ("47b352f837c94cec2b4b6129851e185e"
-                          "7c30e43f6e6bbebd8d248bedee32757b")
+        assert len(log) == 1604
+        assert digest == ("17210c85121acea6e5c3450ba65d7744"
+                          "36822ce05396afc664198a30823cd871")
+
+
+def run_checking_retirement(circuit, faults, **kwargs):
+    """Target *faults* through one :class:`IncrementalATPG`, checking
+    the retirement invariants around every call: the solver holds at
+    most the good circuit, the largest cone with its XORs and one
+    activation variable per fault so far; every pooled variable is
+    unassigned at the root when a fault may reuse it; and after each
+    retirement no live clause mentions a retired activation
+    variable."""
+    engine = IncrementalATPG(circuit, **kwargs)
+    solver = engine.solver
+    good = engine.encoding.formula.num_vars
+    widest = 0
+    for fault in faults:
+        reached = circuit.transitive_fanout([fault.node])
+        widest = max(widest, len(reached) + sum(
+            out in reached for out in circuit.outputs))
+    retired = set()
+    retire = solver.retire
+
+    def checked_retire(act):
+        retire(act)
+        retired.add(act)
+        for clause in live_clauses(solver):
+            assert retired.isdisjoint(abs(lit) for lit in clause), clause
+
+    solver.retire = checked_retire
+    results = []
+    for count, fault in enumerate(faults, 1):
+        assert all(solver._solver.value_of(var) is None
+                   for var in engine.pool), fault
+        results.append(engine.solve_fault(fault))
+        assert solver.num_vars <= good + widest + count, fault
+    assert len(retired) == len(faults)
+    return results
+
+
+def assert_agrees_with_fresh_path(circuit):
+    faults = full_fault_list(circuit)
+    for fault, shared in zip(faults,
+                             run_checking_retirement(circuit, faults)):
+        assert shared.outcome is solve_fault(circuit, fault).outcome, \
+            fault
+        if shared.outcome is TestOutcome.DETECTED:
+            assert detects(circuit, fault, shared.vector), fault
+
+
+class TestConeRetirement:
+    @pytest.mark.parametrize("factory", [
+        lambda: ripple_carry_adder(3), lambda: alu(4)],
+        ids=["rca3", "alu4"])
+    def test_invariants_over_the_full_fault_list(self, factory):
+        circuit = factory()
+        faults = full_fault_list(circuit)
+        results = run_checking_retirement(circuit, faults)
+        assert all(r.outcome is not TestOutcome.ABORTED for r in results)
+
+    @pytest.mark.parametrize("factory", [
+        c17, redundant_or_chain, dead_logic_circuit, lambda: alu(3),
+        lambda: array_multiplier(2)],
+        ids=["c17", "redundant_or_chain", "dead_logic", "alu3", "mul2"])
+    def test_agrees_with_fresh_path(self, factory):
+        assert_agrees_with_fresh_path(factory())
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 1 << 20), st.integers(2, 5),
+           st.integers(1, 14))
+    def test_agrees_with_fresh_path_on_random_circuits(
+            self, seed, num_inputs, num_gates):
+        assert_agrees_with_fresh_path(
+            random_circuit(num_inputs, num_gates, seed=seed))
+
+    def test_aborted_fault_leaves_the_next_outcome_correct(self):
+        circuit = alu(3)
+        faults = full_fault_list(circuit)
+        results = run_checking_retirement(circuit, faults,
+                                          max_conflicts_per_fault=1)
+        after_abort = 0
+        for index, (fault, result) in enumerate(zip(faults, results)):
+            if result.outcome is TestOutcome.ABORTED:
+                continue
+            assert result.outcome is solve_fault(circuit, fault).outcome
+            if index and results[index - 1].outcome is \
+                    TestOutcome.ABORTED:
+                after_abort += 1
+        assert after_abort > 0
+
+    def test_fuzzer_cross_checks_incremental_atpg(self):
+        from repro.verify.fuzz import incremental_atpg_failure
+
+        for seed in range(5):
+            name, detail = incremental_atpg_failure(random.Random(seed))
+            assert detail is None, (name, detail)
+
+    def test_fuzzer_catches_cones_left_live(self, monkeypatch):
+        import repro.apps.atpg as atpg
+        from repro.verify.fuzz import CDCLEngine, run_fuzz
+
+        # Without the -act guard, retiring satisfies nothing: every
+        # earlier cone stays live on variables later cones reuse.
+        monkeypatch.setattr(atpg, "_guarded",
+                            lambda act, literals: list(literals))
+        report = run_fuzz(iterations=40, seed=4, shrink=False,
+                          engines_factory=lambda rng: [CDCLEngine("cdcl")])
+        assert report.atpg_rounds == 10
+        assert any(failure.instance.startswith("incremental-atpg")
+                   for failure in report.failures)
 
 
 def full_miter_outcome(circuit: Circuit, fault: StuckAtFault

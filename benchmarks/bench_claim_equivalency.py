@@ -5,7 +5,8 @@ Two workload families rich in the (x + y')(x' + y) pattern: explicit
 equivalence ladders and adder-architecture miters (every buffered
 signal pair is an equivalence).  Expected shape: a substantial
 fraction of variables eliminated, verdicts unchanged, and search
-effort on the reduced formula no worse.
+effort on the reduced formula no worse.  The reduction is the
+``Preprocess()`` step, :func:`repro.solvers.inprocess.preprocess`.
 """
 
 from repro.apps.equivalence import check_equivalence
@@ -16,7 +17,7 @@ from repro.circuits.generators import (
 from repro.cnf.generators import equivalence_ladder
 from repro.experiments.tables import format_table
 from repro.solvers.cdcl import CDCLSolver
-from repro.solvers.preprocess import equivalency_reduce
+from repro.solvers.inprocess import preprocess
 
 
 def test_claim_equivalency(benchmark, show):
@@ -25,7 +26,7 @@ def test_claim_equivalency(benchmark, show):
     # Family 1: explicit ladders.
     for pairs in (8, 16):
         formula = equivalence_ladder(pairs, seed=pairs)
-        reduced = equivalency_reduce(formula)
+        reduced = preprocess(formula)
         baseline = CDCLSolver(formula.copy()).solve()
         if reduced.formula is not None:
             after = CDCLSolver(reduced.formula).solve()
@@ -58,5 +59,5 @@ def test_claim_equivalency(benchmark, show):
     assert all(row[2] == "-" or row[2] > 0 for row in rows[:2])
     assert pre.variables_eliminated > 0
 
-    result = benchmark(equivalency_reduce, equivalence_ladder(16))
+    result = benchmark(preprocess, equivalence_ladder(16))
     assert result.variables_eliminated >= 16

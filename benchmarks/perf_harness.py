@@ -56,12 +56,8 @@ record keeps the timing, the per-pass reclaim statistics
 (``Inprocessor.pass_totals``), and the on-vs-off CPU ratio; on UNSAT
 instances one extra inprocessing run streams a DRUP proof that the
 independent checker must accept (every inprocessing transformation is
-proof-logged, so a checker rejection here is a soundness bug).  The
-JSON also records the kernel capability probe
-(:func:`repro.solvers.kernels.capability`); in ``--tiny`` mode a
-second inprocessing run on the pure-python kernel must reach the same
-verdict, which is what the CI matrix legs (numpy present / absent)
-compare.  On the full suite the run **gates** on inprocessing beating
+proof-logged, so a checker rejection here is a soundness bug).  On
+the full suite the run **gates** on inprocessing beating
 the plain engine on ``php-7`` (the paper's flagship refutation
 family; simplification is what keeps it tractable).
 
@@ -262,21 +258,19 @@ def _run_certified(formula):
 INPROCESS_INTERVAL = 1000
 
 
-def _inprocess_config(kernel: str = "auto",
-                      interval: int = INPROCESS_INTERVAL):
+def _inprocess_config(interval: int = INPROCESS_INTERVAL):
     from repro.solvers.inprocess import InprocessConfig
-    return InprocessConfig(interval=interval, kernel=kernel)
+    return InprocessConfig(interval=interval)
 
 
-def _run_inprocess(formula, kernel: str = "auto",
-                   interval: int = INPROCESS_INTERVAL):
+def _run_inprocess(formula, interval: int = INPROCESS_INTERVAL):
     """The live engine with the inprocessing engine enabled.  Returns
     the timing, the result, and the per-pass totals of the run's
     :class:`~repro.solvers.inprocess.Inprocessor`."""
     solver = CDCLSolver(
         formula, heuristic=VSIDSHeuristic(seed=0),
         restart_policy=make_restart_policy("luby", 64),
-        phase_saving=True, inprocess=_inprocess_config(kernel, interval))
+        phase_saving=True, inprocess=_inprocess_config(interval))
     wall, cpu, result = _timed(solver)
     inprocessor = solver._inprocessor
     totals = ({name: dict(counters) for name, counters
@@ -381,15 +375,6 @@ def bench_instance(name, formula, repeats: int, tiny: bool = False):
     if inp_result.status is Status.UNSATISFIABLE:
         _, inp_proof_info = _run_inprocess_certified(
             formula, interval=inp_interval)
-    if tiny:
-        # The CI matrix compares numpy-present vs numpy-absent legs;
-        # inside one leg, the two kernels must agree as well.
-        _, _, py_result, _ = _run_inprocess(formula, kernel="python",
-                                            interval=inp_interval)
-        if py_result.status is not inp_result.status:
-            raise AssertionError(
-                f"kernel changed the verdict on {name}: "
-                f"python={py_result.status} auto={inp_result.status}")
 
     if cert_result.status is not new_result.status:
         raise AssertionError(
@@ -475,7 +460,7 @@ def bench_instance(name, formula, repeats: int, tiny: bool = False):
             **cert_info,
         },
         # One live-engine run with the inprocessing engine enabled
-        # (interval INPROCESS_INTERVAL, all passes, auto kernel).
+        # (interval INPROCESS_INTERVAL, all passes).
         # ``vs_off`` > 1 means inprocessing made this instance faster;
         # ``passes`` breaks the reclaim down per pass.
         "inprocess": {
@@ -513,17 +498,6 @@ def main(argv=None) -> int:
                         help="output JSON path (default: BENCH_PR9.json "
                              "in the repo root; '-' for stdout only)")
     args = parser.parse_args(argv)
-
-    # Probe the kernel capability exactly once per invocation.  The
-    # pre-PR9 harness probed at summary-build time and simply omitted
-    # the key when the probe raised, which made numpy-absent runs
-    # indistinguishable from runs that never probed; a failure is now
-    # recorded as an explicit error string.
-    try:
-        from repro.solvers.kernels import capability
-        kernels_info = capability()
-    except Exception as exc:
-        kernels_info = {"error": f"{type(exc).__name__}: {exc}"}
 
     repeats = args.repeats or (1 if (args.smoke or args.tiny) else 3)
     records = []
@@ -563,8 +537,7 @@ def main(argv=None) -> int:
                   "(wall seconds recorded alongside)",
         "deletion_config": "size bound=6 interval=250 (extra live run)",
         "inprocess_config": f"interval={INPROCESS_INTERVAL}, all "
-                            "passes, auto kernel (extra live run)",
-        "kernels": kernels_info,
+                            "passes (extra live run)",
         "repeats": repeats,
         "smoke": args.smoke,
         "tiny": args.tiny,
@@ -601,8 +574,7 @@ def main(argv=None) -> int:
               f"(max x{summary['max_certified_overhead']:.2f}, "
               f"gate <=x{summary['certified_gate']:.2f})")
     print(f"median inprocess speedup vs legacy: "
-          f"x{summary['median_inprocess_speedup']:.2f}  "
-          f"(kernel {kernels_info.get('default_kernel', 'probe-failed')})")
+          f"x{summary['median_inprocess_speedup']:.2f}")
     if php7 is not None:
         print(f"php-7 inprocess vs off: "
               f"x{summary['php7_inprocess_vs_off']:.2f}")

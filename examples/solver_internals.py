@@ -23,7 +23,7 @@ from repro.solvers.forward_implication import (
     ImplicationConflict,
 )
 from repro.solvers.heuristics import VSIDSHeuristic
-from repro.solvers.preprocess import equivalency_reduce
+from repro.solvers.inprocess import preprocess
 from repro.solvers.recursive_learning import recursive_learn
 from repro.solvers.restarts import FixedRestarts
 
@@ -68,11 +68,13 @@ def figure4_demo():
 def equivalency_demo():
     print("=== Section 6: equivalency reasoning ===")
     formula = equivalence_ladder(pairs=6, seed=0)
-    result = equivalency_reduce(formula)
-    print(f"{formula.num_vars} variables, {formula.num_clauses} "
-          f"clauses -> eliminated {result.variables_eliminated} "
-          f"variables, removed {result.clauses_removed} clauses")
-    print("substitution:", dict(sorted(result.substitution.items())))
+    result = preprocess(formula)
+    if result.unsat:
+        print("preprocessing refuted the formula")
+    else:
+        print(f"{formula.num_vars} variables, {formula.num_clauses} "
+              f"clauses -> eliminated {result.variables_eliminated} "
+              f"variables, {result.formula.num_clauses} clauses left")
     print()
 
 

@@ -23,7 +23,7 @@ from repro.circuits.simulate import output_values, random_vector, simulate
 from repro.circuits.tseitin import encode_miter
 from repro.runtime.budget import Budget
 from repro.solvers.cdcl import CDCLSolver
-from repro.solvers.preprocess import preprocess
+from repro.solvers.inprocess import preprocess
 from repro.solvers.result import SolverStats, Status
 
 
@@ -86,19 +86,19 @@ def check_equivalence(circuit_a: Circuit, circuit_b: Circuit,
     proof of the miter CNF's unsatisfiability that passes the
     independent checker (kept in *proof_dir* when given), and a SAT
     counterexample's model is audited; failed checks return
-    ``equivalent=None``.  Certification is incompatible with
-    ``use_preprocessing``: the equivalency-reasoning pass rewrites the
-    formula (and can even conclude UNSAT itself), so a proof of the
-    rewritten CNF would not certify the miter actually encoded --
-    asking for both raises ``ValueError``.
+    ``equivalent=None``.  With ``use_preprocessing`` as well, the
+    proof-logged pre-pass and the solve share one DRUP stream, which
+    is checked against the encoded miter.  The portfolio backend
+    cannot share that stream, so it refuses certified preprocessing
+    with ``ValueError``.
     """
     if backend not in ("cdcl", "portfolio"):
         raise ValueError(f"unknown backend {backend!r}")
-    if certify and use_preprocessing:
+    if certify and use_preprocessing and backend == "portfolio":
         raise ValueError(
-            "certify=True is incompatible with use_preprocessing: the "
-            "preprocessed CNF is not the encoded miter, so its proof "
-            "certifies the wrong formula")
+            "certify=True with use_preprocessing is not supported on "
+            "the portfolio backend: worker proofs cannot share the "
+            "preprocessing prefix")
     if tracer is None:
         return _check_equivalence(
             circuit_a, circuit_b, simulation_vectors, use_preprocessing,
@@ -159,8 +159,8 @@ def _check_equivalence(circuit_a: Circuit, circuit_b: Circuit,
     formula = encoding.formula
     eliminated = 0
     lift = None
-    if use_preprocessing:
-        pre = preprocess(formula, equivalency=True)
+    if use_preprocessing and not certify:
+        pre = preprocess(formula)
         if tracer is not None:
             tracer.event("cec.preprocess",
                          eliminated=pre.variables_eliminated,
@@ -205,10 +205,15 @@ def _check_equivalence(circuit_a: Circuit, circuit_b: Circuit,
             proof_path = os.path.join(
                 proof_dir,
                 f"cec-{circuit_a.name}-vs-{circuit_b.name}.drup")
+        # Certified preprocessing runs inside certified_solve, into
+        # the proof stream it checks against the encoded miter.
         result = certified_solve(formula, proof_path=proof_path,
                                  tracer=tracer,
                                  max_conflicts=max_conflicts,
-                                 budget=budget)
+                                 budget=budget,
+                                 preprocess=use_preprocessing)
+        if use_preprocessing:
+            eliminated = result.stats.inprocess_eliminated_vars
     else:
         solver = CDCLSolver(formula, max_conflicts=max_conflicts,
                             budget=budget)

@@ -115,7 +115,7 @@ def _add_budget_flags(subparser) -> None:
 def _cmd_solve(args) -> int:
     from repro.cnf.dimacs import load_dimacs
     from repro.solvers.cdcl import CDCLSolver
-    from repro.solvers.preprocess import preprocess
+    from repro.solvers.inprocess import preprocess
 
     budget = _budget_from_args(args)
     tracer = getattr(args, "obs_tracer", None)
@@ -127,14 +127,8 @@ def _cmd_solve(args) -> int:
     inprocess_config = None
     if args.inprocess:
         from repro.solvers.inprocess import InprocessConfig
-        from repro.solvers.kernels import resolve_kernel
-        try:
-            resolve_kernel(args.kernel)
-        except RuntimeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         inprocess_config = InprocessConfig(
-            interval=args.inprocess_interval, kernel=args.kernel)
+            interval=args.inprocess_interval)
     formula = load_dimacs(args.file)
     lift = None
     certified_preprocess = args.certify and args.preprocess
@@ -272,10 +266,10 @@ def _cmd_cec(args) -> int:
 
     left = load_bench(args.left)
     right = load_bench(args.right)
-    if args.certify and args.preprocess:
-        print("error: --certify is incompatible with --preprocess "
-              "(the proof would certify the preprocessed miter, not "
-              "the encoded one)", file=sys.stderr)
+    if args.certify and args.preprocess and args.portfolio:
+        print("error: --certify with --preprocess is not supported "
+              "under --portfolio (worker proofs cannot share the "
+              "preprocessing prefix)", file=sys.stderr)
         return 2
     report = check_equivalence(
         left, right,
@@ -402,14 +396,9 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_profile(args) -> int:
     from repro.obs.profile import profile_traces
-    from repro.solvers.kernels import capability
 
     text, problems = profile_traces(args.files)
     print(text)
-    cap = capability()
-    numpy_note = (f"numpy {cap['numpy_version']}" if cap["numpy"]
-                  else "numpy not installed")
-    print(f"kernels: default={cap['default_kernel']} ({numpy_note})")
     return 1 if problems else 0
 
 
@@ -682,10 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="CONFLICTS",
                        help="conflicts between inprocessing runs "
                             "(default: 2000)")
-    solve.add_argument("--kernel", choices=("auto", "numpy", "python"),
-                       default="auto",
-                       help="simplification kernel implementation "
-                            "(auto = numpy when installed)")
     solve.add_argument("--portfolio", type=int, default=0, metavar="N",
                        help="race N diversified CDCL configurations "
                             "in parallel (0 = single engine)")

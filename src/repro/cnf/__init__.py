@@ -8,7 +8,7 @@ application in :mod:`repro` builds upon:
 * :mod:`repro.cnf.formula` -- mutable CNF formulas.
 * :mod:`repro.cnf.assignment` -- partial/total variable assignments.
 * :mod:`repro.cnf.dimacs` -- DIMACS CNF reader/writer.
-* :mod:`repro.cnf.simplify` -- formula-level preprocessing.
+* :mod:`repro.cnf.simplify` -- formula-level unit propagation.
 * :mod:`repro.cnf.generators` -- synthetic formula families.
 * :mod:`repro.cnf.canonical` -- compacting renumbering and the
   stable canonical formula key (service cache, fuzz reproducers).

@@ -23,7 +23,8 @@ class CNFFormula:
 
     Duplicates are preserved because learned-clause experiments need to
     distinguish original from recorded clauses; deduplication is an
-    explicit preprocessing step (:mod:`repro.cnf.simplify`).
+    explicit preprocessing step (subsumption in
+    :func:`repro.solvers.inprocess.preprocess`).
     """
 
     def __init__(self, num_vars: int = 0,

@@ -245,7 +245,7 @@ def build_report(events: List[Dict[str, Any]],
     inprocess: Dict[str, Any] = {"runs": 0, "removed": 0,
                                  "strengthened": 0, "reclaimed_lits": 0,
                                  "eliminated": 0, "units": 0,
-                                 "seconds": 0.0, "kernel": None}
+                                 "seconds": 0.0}
     service: Dict[str, Any] = {"results": 0, "statuses": {},
                                "cached": 0, "degraded": 0,
                                "attempts": 0, "retries": 0,
@@ -337,9 +337,6 @@ def build_report(events: List[Dict[str, Any]],
                     if isinstance(seconds, (int, float)) \
                             and not isinstance(seconds, bool):
                         inprocess["seconds"] += float(seconds)
-                    kernel = attrs.get("kernel")
-                    if isinstance(kernel, str):
-                        inprocess["kernel"] = kernel
             elif name == "service.result":
                 attrs = event.get("attrs")
                 if isinstance(attrs, dict):
@@ -493,10 +490,8 @@ def render_report(report: Dict[str, Any]) -> str:
     if inprocess.get("runs"):
         lines.append("")
         lines.append("inprocessing (in-search simplification):")
-        kernel = inprocess.get("kernel") or "?"
         lines.append(f"  runs: {inprocess['runs']} "
-                     f"({_fmt(inprocess['seconds'])}s total, "
-                     f"kernel={kernel})")
+                     f"({_fmt(inprocess['seconds'])}s total)")
         lines.append(f"  clauses: {inprocess['removed']:,} removed, "
                      f"{inprocess['strengthened']:,} strengthened, "
                      f"{inprocess['reclaimed_lits']:,} literal slots "

@@ -66,8 +66,8 @@ NAMED_EVENT_ATTRS: Dict[str, Dict[str, str]] = {
     # One inprocessing run (repro.solvers.inprocess): clauses removed
     # outright, clauses rewritten shorter, flat-buffer literal slots
     # reclaimed, variables eliminated, root units derived, total
-    # conflicts when the run fired, surviving arena clauses, run wall
-    # time, and which kernel implementation ran ("numpy"|"python").
+    # conflicts when the run fired, surviving arena clauses and run
+    # wall time.
     "cdcl.inprocess": {
         "removed": "int",
         "strengthened": "int",
@@ -77,7 +77,6 @@ NAMED_EVENT_ATTRS: Dict[str, Dict[str, str]] = {
         "conflicts": "int",
         "clauses": "int",
         "seconds": "number",
-        "kernel": "str",
     },
     # The solve service (repro.service): one terminal event per
     # answered job (status/attempts/cache/degradation), one per shed

@@ -9,8 +9,9 @@
 * :mod:`repro.solvers.local_search` -- GSAT / WalkSAT baselines.
 * :mod:`repro.solvers.recursive_learning` -- recursive learning on CNF
   formulas (Section 4.2).
-* :mod:`repro.solvers.preprocess` -- the ``Preprocess()`` step including
-  equivalency reasoning (Section 6).
+* :mod:`repro.solvers.inprocess` -- proof-logged simplification on the
+  clause arena: the ``Preprocess()`` step (equivalency reasoning and
+  subsumption, Section 6) and in-search inprocessing.
 * :mod:`repro.solvers.circuit_sat` -- the structural layer of Section 5.
 * :mod:`repro.solvers.incremental` -- incremental/iterative SAT
   (Section 6).

@@ -23,7 +23,7 @@ sequence of related queries:
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import fields, replace
 from typing import Iterable, Optional, Sequence
 
 from repro.cnf.formula import CNFFormula
@@ -52,8 +52,6 @@ class IncrementalSolver:
             # eliminated variables), so they are forced off here; the
             # clause-only passes (subsumption, self-subsumption,
             # vivification, root simplification) remain available.
-            from dataclasses import replace
-
             from repro.solvers.inprocess import InprocessConfig
             if inprocess is True:
                 inprocess = InprocessConfig()
@@ -110,7 +108,10 @@ class IncrementalSolver:
         result = self._solver.solve(assumptions)
         self._calls += 1
         delta = _delta(before, self._solver.stats)
-        self.total_stats.merge(delta)
+        # The engine's metrics snapshot is already cumulative across
+        # calls: take it as is rather than merging it once per call.
+        self.total_stats.merge(replace(delta, metrics=None))
+        self.total_stats.metrics = self._solver.stats.metrics
         return SolverResult(result.status, result.assignment, delta)
 
     def retire(self, lit: int) -> None:

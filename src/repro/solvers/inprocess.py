@@ -12,9 +12,8 @@ directly on the arena's flat literal buffer and registries:
 * **equivalent-literal substitution** -- union-find over the binary
   implication pairs (the §6 equivalency-reasoning rule), replacing
   each variable by its class representative;
-* **subsumption / self-subsumption** -- signature-pruned sweeps via
-  the shared :func:`repro.solvers.kernels.subsumption_pairs` helper
-  (optionally numpy-vectorized);
+* **subsumption / self-subsumption** -- sweeps pruned by 64-bit
+  clause signatures (:func:`subsumption_pairs`);
 * **clause vivification** -- re-propagate each clause's negated
   literals at throwaway decision levels and shrink the clause when
   propagation conflicts early;
@@ -38,16 +37,24 @@ BudgetMeter` (candidate checks, resolvent products, and every probe
 propagation), so deadlines keep being honoured while inprocessing
 runs.  Each run emits a ``cdcl.inprocess`` trace event consumed by
 ``repro profile``.
+
+:func:`preprocess` is the one formula-level simplifier (the paper's
+``Preprocess()`` step): a single level-0 round of the root,
+equivalence and subsumption passes before search, proof-logged into
+an optional sink so certified and uncertified preprocessing are the
+same code path.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.solvers import kernels
-from repro.solvers.result import Status
+from repro.cnf.assignment import Assignment
+from repro.cnf.formula import CNFFormula
+from repro.solvers.cdcl import CDCLSolver
+from repro.solvers.result import SolverStats, Status
 
 #: Pass names, in execution order (keys of ``Inprocessor.pass_totals``).
 PASSES = ("root", "equivalence", "subsumption", "vivification", "bve")
@@ -55,6 +62,103 @@ PASSES = ("root", "equivalence", "subsumption", "vivification", "bve")
 
 def _lit_index(lit: int) -> int:
     return lit + lit if lit > 0 else 1 - lit - lit
+
+
+def clause_signature(literals: Sequence[int]) -> int:
+    """The 64-bit membership signature of one clause: bit ``lit & 63``
+    is set for every literal.  C can only subsume D when
+    ``sig(C) & ~sig(D) == 0``, so the test never rejects a real
+    subsumption; it only prunes candidates before the exact check."""
+    sig = 0
+    for lit in literals:
+        sig |= 1 << (lit & 63)
+    return sig
+
+
+def subsumption_pairs(clauses: Sequence[Sequence[int]],
+                      spend: Optional[Callable[[int], None]] = None
+                      ) -> List[Tuple[int, int]]:
+    """Find subsumed clauses: ``(subsumed_index, subsuming_index)``.
+
+    Clauses are processed shortest-first; a clause subsumed by an
+    earlier-kept one is reported (at most once) and never itself kept
+    as a subsumer -- its subsumer already covers anything it would.
+    Exact duplicates therefore report the later copy as subsumed by
+    the earlier.  Candidate generation walks the occurrence lists of
+    the clause's literals (any subset shares every literal), pruned by
+    the signature filter; *spend* (when given) is charged one unit per
+    candidate examined, so callers can meter the sweep.
+    """
+    n = len(clauses)
+    if n < 2:
+        return []
+    sigs = [clause_signature(lits) for lits in clauses]
+    order = sorted(range(n), key=lambda i: (len(clauses[i]), i))
+    occurrences: Dict[int, List[int]] = {}
+    pairs: List[Tuple[int, int]] = []
+    for idx in order:
+        lits = clauses[idx]
+        candidates: Set[int] = set()
+        for lit in lits:
+            candidates.update(occurrences.get(lit, ()))
+        winner = -1
+        if candidates:
+            if spend is not None:
+                spend(len(candidates))
+            sig = sigs[idx]
+            litset = set(lits)
+            for j in sorted(candidates):
+                if sigs[j] & ~sig == 0 and all(q in litset
+                                               for q in clauses[j]):
+                    winner = j
+                    break
+        if winner >= 0:
+            pairs.append((idx, winner))
+            continue
+        for lit in lits:
+            occurrences.setdefault(lit, []).append(idx)
+    return pairs
+
+
+class _UnionFind:
+    """Union-find over variables with parity (equivalence classes of
+    the §6 equivalency-reasoning rule).
+
+    Each variable maps to (root, sign): sign +1 when equal to the root,
+    -1 when equal to the root's complement.
+    """
+
+    def __init__(self):
+        self.parent: Dict[int, Tuple[int, int]] = {}
+
+    def find(self, var: int) -> Tuple[int, int]:
+        if var not in self.parent:
+            self.parent[var] = (var, 1)
+            return var, 1
+        root, sign = self.parent[var]
+        if root == var:
+            return var, sign
+        grand_root, grand_sign = self.find(root)
+        self.parent[var] = (grand_root, sign * grand_sign)
+        return grand_root, sign * grand_sign
+
+    def union(self, var_a: int, var_b: int, same: bool) -> bool:
+        """Merge classes asserting a == b (same) or a == b' (not same).
+
+        Returns False when the assertion contradicts the classes
+        (forces x == x').
+        """
+        root_a, sign_a = self.find(var_a)
+        root_b, sign_b = self.find(var_b)
+        relation = 1 if same else -1
+        if root_a == root_b:
+            return sign_a * sign_b == relation
+        # Keep the smaller-index root as representative.
+        if root_b < root_a:
+            root_a, root_b = root_b, root_a
+            sign_a, sign_b = sign_b, sign_a
+        self.parent[root_b] = (root_a, sign_a * relation * sign_b)
+        return True
 
 
 @dataclass(frozen=True)
@@ -84,10 +188,6 @@ class InprocessConfig:
         clauses vivified per run, at most (largest first).
     self_subsume_budget:
         candidate checks per self-subsumption sweep, at most.
-    kernel:
-        ``"auto"`` / ``"numpy"`` / ``"python"`` -- which
-        :mod:`repro.solvers.kernels` implementation runs the bulk
-        signature / occurrence / filter loops.
     """
 
     interval: int = 2000
@@ -101,7 +201,6 @@ class InprocessConfig:
     bve_var_budget: int = 200
     vivify_clause_budget: int = 300
     self_subsume_budget: int = 100000
-    kernel: str = "auto"
 
 
 class Inprocessor:
@@ -116,7 +215,6 @@ class Inprocessor:
     def __init__(self, solver, config: InprocessConfig) -> None:
         self.solver = solver
         self.config = config
-        self.kernel = kernels.resolve_kernel(config.kernel)
         #: Variables removed from the database (BVE / equivalence);
         #: they must never reappear in assumptions or new clauses.
         self.eliminated: Set[int] = set()
@@ -247,8 +345,7 @@ class Inprocessor:
                 units=self._units,
                 conflicts=stats.conflicts,
                 clauses=len(s.arena),
-                seconds=round(seconds, 6),
-                kernel=self.kernel)
+                seconds=round(seconds, 6))
         if self._refuted:
             s._root_conflict = True
             return Status.UNSATISFIABLE
@@ -419,8 +516,6 @@ class Inprocessor:
         the originals; the defining binaries themselves substitute to
         tautologies and are simply deleted.
         """
-        from repro.solvers.preprocess import _UnionFind
-
         s = self.solver
         arena = s.arena
         binset: Set[Tuple[int, int]] = set()
@@ -509,8 +604,7 @@ class Inprocessor:
         doomed: Set[int] = set()
 
         if config.subsumption:
-            pairs = kernels.subsumption_pairs(
-                lits_list, kernel=self.kernel, spend=self._spend)
+            pairs = subsumption_pairs(lits_list, spend=self._spend)
             learned_ids = set(s._learned)
             for sub_idx, by_idx in pairs:
                 sub_cid, by_cid = live[sub_idx], live[by_idx]
@@ -525,8 +619,7 @@ class Inprocessor:
         if config.self_subsumption:
             alive = [i for i, cid in enumerate(live)
                      if cid not in doomed]
-            sigs = kernels.bulk_signatures(lits_list, kernel=self.kernel)
-            sig_array = kernels.as_sig_array(sigs, kernel=self.kernel)
+            sigs = [clause_signature(lits) for lits in lits_list]
             occurrences: Dict[int, List[int]] = {}
             for i in alive:
                 for lit in lits_list[i]:
@@ -550,10 +643,8 @@ class Inprocessor:
                     # admit extra candidates for the exact check).
                     weak = sigs[i] & ~(1 << (lit & 63))
                     rest = [q for q in lits if q != lit]
-                    for j in kernels.filter_supersets(
-                            weak, candidates, sig_array,
-                            kernel=self.kernel):
-                        if j == i or j in dead:
+                    for j in candidates:
+                        if weak & ~sigs[j] or j == i or j in dead:
                             continue
                         target = lits_list[j]
                         if len(target) < len(lits):
@@ -632,8 +723,9 @@ class Inprocessor:
         arena = s.arena
         config = self.config
         limit = config.bve_occurrence_limit
-        counts = kernels.occurrence_counts(arena.lits, s._num_vars,
-                                           kernel=self.kernel)
+        counts = [0] * (2 * (s._num_vars + 1))
+        for lit in arena.lits:
+            counts[lit + lit if lit > 0 else 1 - lit - lit] += 1
         candidates = []
         for var in range(1, s._num_vars + 1):
             pos, neg = counts[var + var], counts[var + var + 1]
@@ -716,3 +808,91 @@ class Inprocessor:
             self._elim += 1
             eliminated_here += 1
         self._commit(doomed)
+
+
+# ----------------------------------------------------------------------
+# Preprocessing: one level-0 round before search
+# ----------------------------------------------------------------------
+
+#: The pre-search round: root simplification, equivalent-literal
+#: substitution and subsumption (paper §6).  Vivification,
+#: self-subsumption and BVE stay in search: on the equivalence-rich
+#: rca-vs-csa miters, BVE before search costs the reduced formula
+#: 1.5-3x the conflicts.
+PREPROCESS_CONFIG = InprocessConfig(bve=False, vivification=False,
+                                    self_subsumption=False)
+
+
+@dataclass
+class Preprocessed:
+    """Outcome of :func:`preprocess`.
+
+    ``formula`` is the reduced formula (same variable numbering and
+    names), or ``None`` when the round refuted the input.  ``units``
+    are the root literals, ``stats`` the round's solver counters.
+    """
+
+    formula: Optional[CNFFormula]
+    variables_eliminated: int
+    units: List[int]
+    stats: SolverStats
+    inprocessor: Inprocessor
+
+    @property
+    def unsat(self) -> bool:
+        """True when preprocessing alone refuted the formula."""
+        return self.formula is None
+
+    def lift_model(self, model: Assignment) -> Assignment:
+        """A model of the original formula from one of the reduced
+        formula: the root units are replayed, then the substituted
+        variables are restored from their representatives."""
+        lifted = model.copy()
+        for lit in self.units:
+            lifted.assign(abs(lit), lit > 0)
+        self.inprocessor.extend_model(lifted)
+        return lifted
+
+
+def preprocess(formula: CNFFormula, proof=None) -> Preprocessed:
+    """The paper's ``Preprocess()`` step: one :class:`Inprocessor`
+    round at decision level 0 under :data:`PREPROCESS_CONFIG`.
+
+    With a *proof* sink (``repro.verify.drat.ProofSink``) every
+    rewrite is DRUP-logged, and each root unit is emitted as an add,
+    so the checker's database holds every clause of the reduced
+    formula.  A proof of the reduced formula appended to the same
+    sink therefore checks against the *original* formula.  When the
+    round refutes the formula, the sink is concluded with the empty
+    clause.
+    """
+    solver = CDCLSolver(formula)
+    solver.proof = proof
+    inprocessor = Inprocessor(solver, PREPROCESS_CONFIG)
+    refuted = solver._root_conflict
+    for lit in solver._pending_units:
+        if refuted:
+            break
+        refuted = not solver._enqueue(lit, None)
+    if not refuted:
+        refuted = (solver._propagate() is not None
+                   or inprocessor.run() is Status.UNSATISFIABLE)
+    units = list(solver._trail)
+    eliminated = len(inprocessor.eliminated)
+    if refuted:
+        if proof is not None:
+            proof.conclude()
+        return Preprocessed(None, eliminated, units, solver.stats,
+                            inprocessor)
+    reduced = CNFFormula(formula.num_vars)
+    for lit in units:
+        if proof is not None:
+            proof.add((lit,))
+        reduced.add_clause([lit])
+    arena = solver.arena
+    for cid in solver._clauses:
+        reduced.add_clause(arena.lits_of(cid))
+    for var, name in formula.names.items():
+        reduced.set_name(var, name)
+    return Preprocessed(reduced, eliminated, units, solver.stats,
+                        inprocessor)

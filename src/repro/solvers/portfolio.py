@@ -67,7 +67,6 @@ class PortfolioConfig:
     #: instances while non-simplifying ones keep raw search throughput.
     inprocess: bool = False
     inprocess_interval: int = 2000
-    inprocess_kernel: str = "auto"
 
     def build_solver(self, formula: CNFFormula,
                      max_conflicts: Optional[int] = None,
@@ -82,8 +81,7 @@ class PortfolioConfig:
         if self.inprocess:
             from repro.solvers.inprocess import InprocessConfig
             inprocess = InprocessConfig(
-                interval=self.inprocess_interval,
-                kernel=self.inprocess_kernel)
+                interval=self.inprocess_interval)
         return CDCLSolver(
             formula,
             heuristic=make_heuristic(self.heuristic, seed=self.seed,
@@ -313,7 +311,7 @@ def solve_portfolio(formula: CNFFormula,
     ``inprocess`` (an
     :class:`~repro.solvers.inprocess.InprocessConfig`) force-enables
     in-search simplification on *every* configuration with the given
-    interval/kernel -- the CLI's ``--inprocess`` pass-through.
+    interval -- the CLI's ``--inprocess`` pass-through.
     Without it, the default portfolio already diversifies along the
     inprocessing axis (every second configuration simplifies).
     """
@@ -327,8 +325,7 @@ def solve_portfolio(formula: CNFFormula,
         raise ValueError("empty portfolio")
     if inprocess is not None:
         configs = [replace(c, inprocess=True,
-                           inprocess_interval=inprocess.interval,
-                           inprocess_kernel=inprocess.kernel)
+                           inprocess_interval=inprocess.interval)
                    for c in configs]
 
     if timeout is not None:

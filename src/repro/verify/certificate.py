@@ -132,18 +132,19 @@ def certified_solve(formula, proof_path: Optional[str] = None,
       ``certificate.reason`` (an invalid proof keeps its file for
       post-mortem when *proof_path* was explicit).
 
-    ``preprocess=True`` runs the proof-logged preprocessing subset
-    (:func:`repro.cnf.simplify.simplify_with_proof`) into the same
-    sink before solving the reduced formula, so the combined stream
-    still verifies against the *original* formula; SAT models are
-    lifted back through the forced assignments and audited against
-    the original.
+    ``preprocess=True`` runs :func:`repro.solvers.inprocess.preprocess`
+    into the same sink before solving the reduced formula, so the
+    combined stream still verifies against the *original* formula;
+    SAT models are lifted back (root units, then substituted
+    variables) and audited against the original.  The result's
+    ``stats`` then include the pre-pass's counters (e.g.
+    ``inprocess_eliminated_vars``).
 
     ``sink_factory`` exists for fault injection: tests substitute a
     sink that corrupts the stream to pin the demotion path.
     """
     from repro.solvers.cdcl import CDCLSolver
-    from repro.solvers.result import SolverResult, SolverStats, Status
+    from repro.solvers.result import SolverResult, Status
 
     ephemeral = proof_path is None
     if ephemeral:
@@ -152,10 +153,10 @@ def certified_solve(formula, proof_path: Optional[str] = None,
         os.close(handle)
     sink = sink_factory(proof_path)
     target = formula
-    forced = {}
+    pre = None
     if preprocess:
-        from repro.cnf.simplify import simplify_with_proof
-        pre = simplify_with_proof(formula, sink)
+        from repro.solvers.inprocess import preprocess as run_preprocess
+        pre = run_preprocess(formula, proof=sink)
         if pre.unsat:
             # Preprocessing refuted the formula; the sink already
             # holds the concluding empty clause.  Check the stream
@@ -168,11 +169,10 @@ def certified_solve(formula, proof_path: Optional[str] = None,
                 certificate.proof_path = None
             status = (Status.UNSATISFIABLE if certificate.valid
                       else Status.UNKNOWN)
-            result = SolverResult(status, None, SolverStats())
+            result = SolverResult(status, None, pre.stats)
             result.certificate = certificate
             return result
         target = pre.formula
-        forced = pre.forced
     try:
         solver = CDCLSolver(target, **cdcl_kwargs)
         if tracer is not None:
@@ -188,13 +188,10 @@ def certified_solve(formula, proof_path: Optional[str] = None,
         raise
     sink.close()
 
-    if result.status is Status.SATISFIABLE and forced:
-        # Lift the model of the reduced formula back to the original:
-        # propagated-unit variables take their forced values
-        # (overwriting whatever the search assigned to the now
-        # unconstrained variables).
-        for var, value in forced.items():
-            result.assignment.assign(var, value)
+    if pre is not None:
+        result.stats.merge(pre.stats)
+        if result.status is Status.SATISFIABLE:
+            result.assignment = pre.lift_model(result.assignment)
 
     if result.status is Status.UNSATISFIABLE:
         certificate = check_unsat_proof(formula, proof_path, tracer)

@@ -12,7 +12,10 @@ families the paper treats as interchangeable decision procedures:
   deletion policy, minimization, phase saving, budget) with a
   streamed proof attached -- every UNSAT verdict is check-verified;
 * **DPLL** (chronological, no learning) -- an independent baseline;
-* **recursive learning** as a preprocessor feeding a plain CDCL.
+* **recursive learning** as a preprocessor feeding a plain CDCL;
+* the proof-logged **preprocessing** step feeding a plain CDCL into
+  the same proof stream, its model lifted back -- so its model audit
+  and proof check run against the *original* formula.
 
 Any two decisive verdicts must agree; every SAT model must satisfy
 the original formula; every CDCL UNSAT proof must check; a fault
@@ -176,11 +179,41 @@ class RecursiveLearningEngine(Engine):
                 "depth": self.depth}
 
 
+class PreprocessEngine(Engine):
+    """:func:`repro.solvers.inprocess.preprocess` feeding a default
+    CDCL.  Both write one in-memory proof, and a SAT model is lifted
+    back, so the differential check audits the model, or checks the
+    combined proof, against the original formula."""
+
+    def __init__(self):
+        self.name = "preprocess+cdcl"
+        self.proof_events = None
+
+    def run(self, formula: CNFFormula) -> SolverResult:
+        from repro.solvers.cdcl import CDCLSolver
+        from repro.solvers.inprocess import preprocess
+
+        sink = MemoryProofSink()
+        self.proof_events = sink.events
+        pre = preprocess(formula, proof=sink)
+        if pre.unsat:
+            return SolverResult(Status.UNSATISFIABLE)
+        solver = CDCLSolver(pre.formula)
+        attach_proof_stream(solver, sink)
+        result = solver.solve()
+        if result.status is Status.SATISFIABLE:
+            result.assignment = pre.lift_model(result.assignment)
+        return result
+
+    def describe(self) -> Dict[str, object]:
+        return {"name": self.name, "kind": "preprocess"}
+
+
 def default_engines(rng: random.Random) -> List[Engine]:
     """The per-round engine panel: one randomized CDCL, one DPLL, one
-    recursive-learning pipeline.  Budgets are randomized too -- a
-    budget-limited engine answers UNKNOWN, which must never be treated
-    as a disagreement."""
+    recursive-learning pipeline, one preprocessing pipeline.  Budgets
+    are randomized too -- a budget-limited engine answers UNKNOWN,
+    which must never be treated as a disagreement."""
     heuristic = rng.choice(["vsids", "dlis", "jw"])
     restart = rng.choice(["none", "fixed", "geometric", "luby"])
     deletion = rng.choice(["keep", "size", "relevance"])
@@ -204,7 +237,8 @@ def default_engines(rng: random.Random) -> List[Engine]:
         inprocess_interval=inprocess_interval)
     return [cdcl,
             DPLLEngine(max_decisions=rng.choice([None, None, 20000])),
-            RecursiveLearningEngine(depth=rng.choice([1, 2]))]
+            RecursiveLearningEngine(depth=rng.choice([1, 2])),
+            PreprocessEngine()]
 
 
 # ----------------------------------------------------------------------

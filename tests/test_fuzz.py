@@ -162,3 +162,53 @@ class TestRunFuzz:
         report = run_fuzz(iterations=4, seed=2, portfolio_every=2)
         assert report.portfolio_rounds == 2
         assert report.ok, report.failures
+
+
+class TestPreprocessLayer:
+    """The panel's preprocessing slot reaches the layer: a planted
+    defect in the pre-pass is reported within a fixed round budget."""
+
+    @staticmethod
+    def preprocess_failures(report):
+        return [f for f in report.failures
+                if any(e["name"] == "preprocess+cdcl" for e in f.engines)]
+
+    def test_skipped_equivalence_reconstruction_is_caught(
+            self, monkeypatch):
+        from repro.solvers.inprocess import Inprocessor
+
+        extend = Inprocessor.extend_model
+
+        def skip_equiv(self, model):
+            saved = self._reconstruction
+            self._reconstruction = [entry for entry in saved
+                                    if entry[0] != "equiv"]
+            try:
+                extend(self, model)
+            finally:
+                self._reconstruction = saved
+
+        monkeypatch.setattr(Inprocessor, "extend_model", skip_equiv)
+        report = run_fuzz(iterations=40, seed=3, shrink=False)
+        failures = self.preprocess_failures(report)
+        assert failures, "planted lift defect escaped the fuzzer"
+        assert failures[0].kind == "bad-model"
+
+    def test_dropped_rewrite_proof_add_is_caught(self, monkeypatch):
+        from repro.solvers.inprocess import Inprocessor
+
+        replace = Inprocessor._replace
+
+        def unlogged(self, old_cid, new_lits, doomed):
+            solver = self.solver
+            proof, solver.proof = solver.proof, None
+            try:
+                replace(self, old_cid, new_lits, doomed)
+            finally:
+                solver.proof = proof
+
+        monkeypatch.setattr(Inprocessor, "_replace", unlogged)
+        report = run_fuzz(iterations=40, seed=3, shrink=False)
+        failures = self.preprocess_failures(report)
+        assert failures, "planted proof defect escaped the fuzzer"
+        assert failures[0].kind == "bad-proof"

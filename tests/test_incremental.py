@@ -63,6 +63,21 @@ class TestAssumptions:
         assert solver.total_stats.conflicts == \
             first.stats.conflicts + second.stats.conflicts
 
+    def test_total_metrics_are_the_engine_snapshot(self):
+        """The engine's metrics snapshot is cumulative already, so the
+        totals must equal it, not sum it once per call."""
+        from repro.obs import SearchMetrics
+
+        solver = IncrementalSolver(pigeonhole(4))
+        solver.metrics = SearchMetrics()
+        for _ in range(3):
+            solver.solve()
+        engine = solver.metrics.snapshot()
+        total = solver.total_stats.metrics
+        assert total == engine
+        assert (total["learned_clause_size"]["count"]
+                == solver.total_stats.learned_clauses)
+
     def test_learning_persists_across_calls(self):
         """The iterative-SAT speedup of [25]: the second, related query
         reuses recorded clauses and needs fewer conflicts."""

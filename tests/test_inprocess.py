@@ -1,5 +1,5 @@
-"""Tests for the inprocessing engine (repro.solvers.inprocess) and the
-vectorized simplification kernels (repro.solvers.kernels)."""
+"""Tests for the inprocessing engine (repro.solvers.inprocess) and its
+signature-pruned subsumption helpers."""
 
 import random
 
@@ -9,15 +9,18 @@ from conftest import assert_model_satisfies
 
 from repro.cnf.formula import CNFFormula
 from repro.cnf.generators import pigeonhole, random_ksat
-from repro.solvers import kernels
 from repro.solvers.cdcl import CDCLSolver
 from repro.solvers.dpll import solve_dpll
-from repro.solvers.inprocess import InprocessConfig, Inprocessor, PASSES
+from repro.solvers.inprocess import (
+    PASSES,
+    InprocessConfig,
+    Inprocessor,
+    clause_signature,
+    subsumption_pairs,
+)
 from repro.solvers.result import Status
 from repro.verify.checker import check_proof_steps
 from repro.verify.drat import MemoryProofSink, attach_proof_stream
-
-HAS_NUMPY = kernels.kernels_available()
 
 
 def small_random(rng, nv=None, nc=None):
@@ -56,7 +59,7 @@ def solo_pass(name, **extra):
     return InprocessConfig(interval=1, **toggles, **extra)
 
 
-def check_round_trip(formula, config, kernel_events=False):
+def check_round_trip(formula, config):
     """Solve with inprocessing forced on every conflict; the verdict
     must match DPLL, SAT models must satisfy the *original* formula,
     and UNSAT proofs must pass the independent checker."""
@@ -74,69 +77,27 @@ def check_round_trip(formula, config, kernel_events=False):
 
 
 class TestKernels:
-    def test_kernel_names_and_capability(self):
-        assert set(kernels.KERNEL_NAMES) == {"auto", "numpy", "python"}
-        cap = kernels.capability()
-        assert cap["numpy"] == HAS_NUMPY
-        assert cap["default_kernel"] in ("numpy", "python")
-        assert kernels.resolve_kernel("python") == "python"
-        assert kernels.resolve_kernel("auto") in ("numpy", "python")
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            kernels.resolve_kernel("fortran")
-
     def test_clause_signature_bits(self):
         # Bit position is lit & 63, identical for both literal signs.
-        assert kernels.clause_signature([1]) == 1 << 1
-        assert kernels.clause_signature([-1]) == 1 << (-1 & 63)
-        assert kernels.clause_signature([64]) == 1 << 0
-        combined = kernels.clause_signature([3, -7, 100])
+        assert clause_signature([1]) == 1 << 1
+        assert clause_signature([-1]) == 1 << (-1 & 63)
+        assert clause_signature([64]) == 1 << 0
+        combined = clause_signature([3, -7, 100])
         for lit in (3, -7, 100):
             assert combined & (1 << (lit & 63))
 
     def test_subsumption_pairs_strict_subset(self):
         # Regression: a strictly shorter clause must subsume its
         # superset (signature filter direction).
-        pairs = kernels.subsumption_pairs([[1, 2, 3], [1, 2]])
+        pairs = subsumption_pairs([[1, 2, 3], [1, 2]])
         assert pairs == [(0, 1)]
 
     def test_subsumption_pairs_duplicates(self):
-        pairs = kernels.subsumption_pairs([[4, 5], [5, 4]])
+        pairs = subsumption_pairs([[4, 5], [5, 4]])
         assert pairs == [(1, 0)]
 
     def test_subsumption_pairs_none(self):
-        assert kernels.subsumption_pairs([[1, 2], [-1, 3], [2, -3]]) == []
-
-    @pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
-    def test_kernel_parity(self):
-        rng = random.Random(42)
-        for _ in range(25):
-            clauses = [sorted({rng.randint(1, 20)
-                               * rng.choice([1, -1])
-                               for _ in range(rng.randint(1, 5))})
-                       for _ in range(rng.randint(2, 30))]
-            sig_py = kernels.bulk_signatures(clauses, kernel="python")
-            sig_np = kernels.bulk_signatures(clauses, kernel="numpy")
-            assert list(sig_py) == [int(s) for s in sig_np]
-            flat = [lit for c in clauses for lit in c]
-            occ_py = kernels.occurrence_counts(flat, 20, kernel="python")
-            occ_np = kernels.occurrence_counts(flat, 20, kernel="numpy")
-            assert list(occ_py) == [int(x) for x in occ_np]
-            arr_py = kernels.as_sig_array(sig_py, kernel="python")
-            arr_np = kernels.as_sig_array(sig_np, kernel="numpy")
-            idx = list(range(len(clauses)))
-            probe = sig_py[0]
-            assert (kernels.filter_supersets(probe, idx, arr_py,
-                                             kernel="python")
-                    == kernels.filter_supersets(probe, idx, arr_np,
-                                                kernel="numpy"))
-            assert (kernels.filter_subsets(probe, idx, arr_py,
-                                           kernel="python")
-                    == kernels.filter_subsets(probe, idx, arr_np,
-                                              kernel="numpy"))
-            assert (kernels.subsumption_pairs(clauses, kernel="python")
-                    == kernels.subsumption_pairs(clauses, kernel="numpy"))
+        assert subsumption_pairs([[1, 2], [-1, 3], [2, -3]]) == []
 
 
 class TestPassRoundTrips:
@@ -156,8 +117,7 @@ class TestPassRoundTrips:
         rng = random.Random(13)
         for _ in range(20):
             check_round_trip(small_random(rng),
-                             InprocessConfig(interval=1,
-                                             kernel="python"))
+                             InprocessConfig(interval=1))
 
     def test_pigeonhole_proof_checked(self):
         formula = pigeonhole(4)
@@ -316,7 +276,6 @@ class TestWiring:
         assert events
         for event in events:
             assert validate_event(event) == []
-            assert event["attrs"]["kernel"] in ("numpy", "python")
 
     def test_portfolio_diversification_axis(self):
         from repro.solvers.portfolio import (PortfolioConfig,

@@ -1,17 +1,12 @@
-"""Unit tests for repro.solvers.preprocess (equivalency reasoning, §6)."""
-
-import pytest
+"""Unit tests for the ``Preprocess()`` step (equivalency reasoning, §6):
+one proof-logged level-0 round of repro.solvers.inprocess."""
 
 from conftest import brute_force_status
 
 from repro.cnf.assignment import Assignment
 from repro.cnf.formula import CNFFormula
 from repro.cnf.generators import equivalence_ladder, parity_chain
-from repro.solvers.preprocess import (
-    equivalency_reduce,
-    find_equivalences,
-    preprocess,
-)
+from repro.solvers.inprocess import preprocess
 
 
 def ladder(pairs=2, payload=None):
@@ -25,50 +20,60 @@ def ladder(pairs=2, payload=None):
     return formula
 
 
+def lifted_value(result, var, assignment):
+    """The value *var* gets when *assignment* (a model of the reduced
+    formula) is lifted back to the original variables."""
+    return result.lift_model(Assignment(assignment)).value_of(var)
+
+
 class TestFindEquivalences:
     def test_same_value_pair(self):
         # (a + b')(a' + b) => a == b
         formula = CNFFormula(2)
         formula.add_clause([1, -2])
         formula.add_clause([-1, 2])
-        assert find_equivalences(formula) == [(1, 2, True)]
+        result = preprocess(formula)
+        assert result.variables_eliminated == 1
+        assert lifted_value(result, 2, {1: True}) is True
+        assert lifted_value(result, 2, {1: False}) is False
 
     def test_opposite_value_pair(self):
         # (a + b)(a' + b') => a == b'
         formula = CNFFormula(2)
         formula.add_clause([1, 2])
         formula.add_clause([-1, -2])
-        assert find_equivalences(formula) == [(1, 2, False)]
+        result = preprocess(formula)
+        assert result.variables_eliminated == 1
+        assert lifted_value(result, 2, {1: True}) is False
 
     def test_half_pair_not_reported(self):
         formula = CNFFormula(2)
         formula.add_clause([1, -2])
-        assert find_equivalences(formula) == []
+        assert preprocess(formula).variables_eliminated == 0
 
     def test_longer_clauses_ignored(self):
         formula = CNFFormula(3)
         formula.add_clause([1, -2, 3])
         formula.add_clause([-1, 2, 3])
-        assert find_equivalences(formula) == []
+        assert preprocess(formula).variables_eliminated == 0
 
 
 class TestEquivalencyReduce:
     def test_eliminates_variable(self):
         formula = ladder(1, payload=[[2, 3]])   # b == a; payload (b+c)
-        result = equivalency_reduce(formula)
+        result = preprocess(formula)
         assert result.variables_eliminated == 1
-        assert result.substitution == {2: 1}
         # payload rewritten onto the representative
-        assert any(list(c) == [1, 3] for c in result.formula)
+        assert [list(c) for c in result.formula] == [[1, 3]]
 
     def test_opposite_polarity_substitution(self):
         formula = CNFFormula(3)
         formula.add_clause([1, 2])
         formula.add_clause([-1, -2])      # b == a'
         formula.add_clause([2, 3])
-        result = equivalency_reduce(formula)
-        assert result.substitution == {2: -1}
-        assert any(list(c) == [-1, 3] for c in result.formula)
+        result = preprocess(formula)
+        assert [list(c) for c in result.formula] == [[-1, 3]]
+        assert lifted_value(result, 2, {1: True, 3: True}) is False
 
     def test_contradictory_equivalences(self):
         # a == b, a == b', both pairs present: x == x' -> UNSAT.
@@ -77,7 +82,7 @@ class TestEquivalencyReduce:
         formula.add_clause([-1, 2])
         formula.add_clause([1, 2])
         formula.add_clause([-1, -2])
-        result = equivalency_reduce(formula)
+        result = preprocess(formula)
         assert result.formula is None
 
     def test_chained_classes(self):
@@ -87,14 +92,14 @@ class TestEquivalencyReduce:
         formula.add_clause([-1, 2])
         formula.add_clause([2, -3])
         formula.add_clause([-2, 3])
-        result = equivalency_reduce(formula)
+        result = preprocess(formula)
         assert result.variables_eliminated == 2
-        assert result.substitution[2] == 1
-        assert result.substitution[3] == 1
+        assert lifted_value(result, 2, {1: True}) is True
+        assert lifted_value(result, 3, {1: True}) is True
 
     def test_lift_model(self):
         formula = ladder(2, payload=[[1, 3]])
-        result = equivalency_reduce(formula)
+        result = preprocess(formula)
         reduced_model = Assignment({1: True, 3: False})
         lifted = result.lift_model(reduced_model)
         assert lifted.value_of(2) is True     # == var1
@@ -106,7 +111,7 @@ class TestEquivalencyReduce:
         for pairs in (2, 3):
             formula = equivalence_ladder(pairs, seed=pairs)
             expected = brute_force_status(formula)
-            result = equivalency_reduce(formula)
+            result = preprocess(formula)
             if result.formula is None:
                 assert expected == "UNSAT"
             else:
@@ -116,7 +121,7 @@ class TestEquivalencyReduce:
         """UNSAT parity chains are equivalence-rich (Section 6's
         target structure): reduction must eliminate variables."""
         formula = parity_chain(8)
-        result = equivalency_reduce(formula)
+        result = preprocess(formula)
         if result.formula is not None:
             assert result.variables_eliminated > 0
         # contradiction may even be found outright -- also acceptable
@@ -153,10 +158,15 @@ class TestPreprocessPipeline:
             assert formula.evaluate(total) is True
 
     def test_recursive_learning_stage(self):
+        """Recursive learning composes with the pre-pass: the units it
+        learns become root units of the reduced formula."""
+        from repro.solvers.recursive_learning import (
+            preprocess_recursive_learning)
+
         formula = CNFFormula(3)
         formula.add_clause([1, 2])
         formula.add_clause([-1, 3])
         formula.add_clause([-2, 3])
-        result = preprocess(formula, equivalency=False,
-                            recursive_learning_depth=1)
-        assert result.forced.get(3) is True
+        strengthened, forced = preprocess_recursive_learning(formula, 1)
+        assert forced.get(3) is True
+        assert 3 in preprocess(strengthened).units

@@ -24,7 +24,7 @@ from repro.circuits.simulate import simulate
 from repro.circuits.tseitin import encode_circuit
 from repro.solvers.cdcl import CDCLSolver
 from repro.solvers.dpll import solve_dpll
-from repro.solvers.preprocess import preprocess
+from repro.solvers.inprocess import preprocess
 from repro.solvers.recursive_learning import recursive_learn
 
 SETTINGS = settings(max_examples=40, deadline=None,

@@ -44,7 +44,7 @@ PUBLIC_MODULES = [
     "repro.solvers.restarts",
     "repro.solvers.local_search",
     "repro.solvers.recursive_learning",
-    "repro.solvers.preprocess",
+    "repro.solvers.inprocess",
     "repro.solvers.circuit_sat",
     "repro.solvers.incremental",
     "repro.solvers.portfolio",

@@ -10,7 +10,7 @@ from conftest import brute_force_status
 
 from repro.cnf.formula import CNFFormula
 from repro.cnf.generators import pigeonhole
-from repro.cnf.simplify import remove_subsumed
+from repro.solvers.inprocess import subsumption_pairs
 from repro.solvers.cdcl import CDCLSolver
 from repro.solvers.heuristics import FixedOrderHeuristic
 from repro.solvers.restarts import luby
@@ -74,12 +74,12 @@ class TestSubsumptionIndexing:
     not contain that literal, so subsumed clauses survived."""
 
     def test_subsumer_without_rarest_literal(self):
-        formula = CNFFormula(3)
-        formula.add_clause([1])              # subsumes both below
-        formula.add_clause([1, 2])
-        formula.add_clause([1, 2, 3])        # 3 is the rarest literal
-        result = remove_subsumed(formula)
-        assert result.formula.num_clauses == 1
+        pairs = subsumption_pairs([
+            [1],                             # subsumes both below
+            [1, 2],
+            [1, 2, 3],                       # 3 is the rarest literal
+        ])
+        assert sorted(pairs) == [(1, 0), (2, 0)]
 
 
 class TestLearningDisabledAntecedent:

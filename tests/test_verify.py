@@ -377,14 +377,49 @@ class TestCertifiedApplications:
         assert report.certificate.proof_path.endswith(".drup")
         assert os.path.exists(report.certificate.proof_path)
 
-    def test_cec_preprocessing_cannot_certify(self):
+    def test_cec_preprocessing_certifies(self, tmp_path):
+        """The proof-logged pre-pass and the solve share one stream,
+        checked against the encoded miter; a counterexample comes back
+        lifted to the miter's inputs and audited."""
+        from repro.apps.equivalence import check_equivalence, mutate_circuit
+        from repro.circuits.generators import (
+            carry_select_adder,
+            ripple_carry_adder,
+        )
+        from repro.circuits.simulate import output_values, simulate
+        from repro.circuits.tseitin import encode_miter
+
+        rca, csa = ripple_carry_adder(4), carry_select_adder(4)
+        report = check_equivalence(rca, csa, simulation_vectors=0,
+                                   use_preprocessing=True, certify=True,
+                                   proof_dir=str(tmp_path))
+        assert report.equivalent is True
+        assert report.variables_eliminated > 0
+        assert report.certificate.kind == "proof"
+        assert report.certificate.valid
+        miter = encode_miter(rca, csa).formula
+        outcome = check_proof_file(miter, report.certificate.proof_path)
+        assert outcome.valid and outcome.concluded, outcome.error
+
+        buggy = mutate_circuit(rca, seed=1)
+        report = check_equivalence(rca, buggy, simulation_vectors=0,
+                                   use_preprocessing=True, certify=True)
+        assert report.equivalent is False
+        assert report.certificate.kind == "model"
+        assert report.certificate.valid
+        vector = report.counterexample
+        assert (output_values(rca, simulate(rca, vector))
+                != output_values(buggy, simulate(buggy, vector)))
+
+    def test_cec_preprocessing_portfolio_cannot_certify(self):
         from repro.apps.equivalence import check_equivalence
         from repro.circuits.generators import ripple_carry_adder
 
         with pytest.raises(ValueError, match="preprocess"):
             check_equivalence(ripple_carry_adder(4),
                               ripple_carry_adder(4),
-                              use_preprocessing=True, certify=True)
+                              use_preprocessing=True, certify=True,
+                              backend="portfolio")
 
     def test_bmc_per_depth_proofs(self, tmp_path):
         from repro.apps.bmc import check_safety
